@@ -20,10 +20,9 @@ solutions are guaranteed whenever the data is polynomial there.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .errors import (
     InternalInconsistencyError,
@@ -60,8 +59,7 @@ def basis_row(dim: int, basis: Basis, n: int) -> list:
     ]
 
 
-@dataclass(frozen=True)
-class CoefficientSet:
+class CoefficientSet(NamedTuple):
     """One fitted coefficient vector with its validation metadata.
 
     coefficients[i] is the i-th coefficient in `basis`; the fitted
@@ -170,8 +168,7 @@ def fit_coefficients(
     )
 
 
-@dataclass(frozen=True)
-class CoefficientReport:
+class CoefficientReport(NamedTuple):
     """The three fitted coefficient sets with linking identities verified."""
 
     e: CoefficientSet
@@ -233,8 +230,7 @@ def bounded_sum(term: Callable[[int], int], reduction_number: int, dim: int) -> 
     return total
 
 
-@dataclass(frozen=True)
-class VSequence:
+class VSequence(NamedTuple):
     """The d = 2 length decomposition of g_1 and g_2.
 
     values[0] = e_0, values[1] = e_0 - H_K(1) + H_K(0), and for n >= 2
@@ -267,7 +263,7 @@ def v_sequence(
     values = [e0, e0 - table.hk[1] + table.hk[0]]
     for n in range(2, table.n_max + 1):
         first = quotient_length(spec.kterm(n), spec.kjterm(n - 1))
-        second = quotient_length(spec.kterm(n - 1).colon(spec.J), spec.kterm(n - 2))
+        second = quotient_length(spec.kcolon(n - 1), spec.kterm(n - 2))
         values.append(first - second)
     g1 = sum(values[1:])
     g2 = sum((n - 1) * values[n] for n in range(1, len(values))) + table.hk[0]
@@ -279,8 +275,7 @@ def v_sequence(
     return VSequence(values=tuple(values), g1=g1, g2=g2)
 
 
-@dataclass(frozen=True)
-class LemmaRow:
+class LemmaRow(NamedTuple):
     """One verified row of the second-difference length identity."""
 
     n: int
@@ -314,7 +309,7 @@ def fundamental_lemma_rows(
     for n in range(n_start, n_stop + 1):
         lhs = e0 - table.delta2_hk(n)
         rhs = quotient_length(spec.kterm(n), spec.kjterm(n - 1)) - quotient_length(
-            spec.kterm(n - 1).colon(spec.J), spec.kterm(n - 2)
+            spec.kcolon(n - 1), spec.kterm(n - 2)
         )
         if lhs != rhs:
             raise TheoremViolationError(
@@ -324,8 +319,7 @@ def fundamental_lemma_rows(
     return tuple(rows)
 
 
-@dataclass(frozen=True)
-class HilbertSeries:
+class HilbertSeries(NamedTuple):
     """Fiber-cone Hilbert series as numerator / (1-t)^pole_order."""
 
     numerator: tuple

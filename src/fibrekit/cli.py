@@ -68,10 +68,7 @@ def _cmd_analyze(args) -> int:
     spec, n_max, n_check, fmt = _load(args.file, args)
     report = analyze(spec, n_max=n_max, n_check=n_check)
     text = render_tree(report) if fmt == "tree" else render_text(report)
-    sys.stdout.write(text if text.endswith("\n") else text + "\n")
-    if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            fh.write(render_tree(report) + "\n")
+    _emit([text.removesuffix("\n")], args, report)
     return EXIT_OK
 
 

@@ -15,8 +15,8 @@ for a non-Cohen-Macaulay fiber cone when the depth hypothesis fails.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .analysis import (
     CoefficientReport,
@@ -53,8 +53,7 @@ class CriterionStatus(Enum):
     UNDETERMINED = "UNDETERMINED"
 
 
-@dataclass(frozen=True)
-class CriterionResult:
+class CriterionResult(NamedTuple):
     """One named check with the two integers it compared."""
 
     name: str
@@ -70,8 +69,7 @@ class CriterionResult:
         return f"{self.name}: {self.status.value} {w}{tail}"
 
 
-@dataclass(frozen=True)
-class MinimalMultiplicityFlags:
+class MinimalMultiplicityFlags(NamedTuple):
     """The four equivalent-or-implied forms of minimal multiplicity.
 
     relative:    K I_1 = K J                      (relative to K)
@@ -86,8 +84,7 @@ class MinimalMultiplicityFlags:
     g1_classic: bool
 
 
-@dataclass(frozen=True)
-class EquivalenceConditions:
+class EquivalenceConditions(NamedTuple):
     """Truth values of the three equivalent statements tested for ideals of
     minimal multiplicity: graded ring CM / fiber CM with r <= 1 / r <= 1."""
 
@@ -99,8 +96,7 @@ class EquivalenceConditions:
         return self.graded_cm == self.fiber_cm_and_r_le_1 == self.r_le_1
 
 
-@dataclass(frozen=True)
-class AnalysisReport:
+class AnalysisReport(NamedTuple):
     """Everything the orchestrator computed, immutable."""
 
     spec: FiltrationSpec

@@ -12,14 +12,14 @@ J) and validates the defining hypotheses up front:
   explicit range are enough: the recursion propagates both properties to all
   higher indices).
 
-Terms, K-terms and J-terms are cached on the spec. build_table evaluates
-H(n) = len(R/I_n), H_K(n) = len(R/K I_n), H_F(n) = len(I_n/K I_n) and checks
-H_K = H + H_F pointwise.
+Terms, K-terms, J-terms and the colons (K I_n : J) are cached on the spec.
+build_table evaluates H(n) = len(R/I_n), H_K(n) = len(R/K I_n),
+H_F(n) = len(I_n/K I_n) and checks H_K = H + H_F pointwise.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (
     InfiniteLengthError,
@@ -111,6 +111,7 @@ class FiltrationSpec:
         self._kterms: dict = {}
         self._jterms: dict = {}
         self._kjterms: dict = {}
+        self._kcolons: dict = {}
         self._kj = None
 
     @staticmethod
@@ -181,14 +182,22 @@ class FiltrationSpec:
             self._kjterms[n] = got
         return got
 
+    def kcolon(self, n: int):
+        """(K I_n : J)."""
+        got = self._kcolons.get(n)
+        if got is None:
+            j = self.require_j()
+            got = self.kterm(n).colon(j)
+            self._kcolons[n] = got
+        return got
+
     def __repr__(self):
         return (
             f"FiltrationSpec(I={self.I}, K={self.K}, J={self.J}, mode={self.mode!r})"
         )
 
 
-@dataclass(frozen=True)
-class HilbertTable:
+class HilbertTable(NamedTuple):
     """The three Hilbert functions tabulated for n = 0..n_max."""
 
     n_max: int

@@ -15,18 +15,23 @@ semigroup combinatorics over plain integers. Ideals are immutable values.
 The per-instance power cache only grows and holds immutable entries, so
 instances may be shared between threads.
 
-Colength of a monomial ideal is computed by up to three routes (staircase
-walk for d = 2, inclusion-exclusion over generator subsets for <= 20
-generators, lattice-point scan otherwise). Setting the module flag
-CROSS_CHECK = True forces every call to run all applicable routes and
-compare them; the test suite switches this on.
+Plane ideals (d = 2) have their own staircase code: containment is one
+merge walk over both generator lists, and colength is read off the
+staircase directly (INFINITE when it does not reach both axes), without
+building the pure-power box. In d >= 3, containment tests every generator
+by divisibility, and colength uses inclusion-exclusion over generator
+subsets for <= 20 generators and a lattice-point scan otherwise. Setting
+the module flag CROSS_CHECK = True makes plane containment re-run the
+divisibility test and makes colength run every applicable route, and
+raises InternalInconsistencyError when the answers differ; tests switch
+it on.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import (
     ComputationError,
@@ -38,7 +43,7 @@ from .errors import (
 
 INFINITE = math.inf
 
-# When set, colength() computes every applicable route and compares.
+# When set, contains() and colength() compute every applicable route and compare.
 CROSS_CHECK = False
 
 # Inclusion-exclusion is used only up to this many generators.
@@ -118,25 +123,6 @@ def _antichain(cands: Iterable[tuple]) -> tuple:
     return tuple(sorted(out))
 
 
-def _heights(gens: Sequence[tuple]):
-    """Step function of a plane antichain: list of (x_start, height).
-
-    Height at x is the least y with (x, y) in the ideal; INFINITE left of the
-    first generator. gens must be canonical (sorted, second coordinate
-    strictly decreasing).
-    """
-    return [(a, b) for a, b in gens]
-
-
-def _height_at(gens: Sequence[tuple], x: int):
-    h = INFINITE
-    for a, b in gens:
-        if a > x:
-            break
-        h = b
-    return h
-
-
 class MonomialIdeal(_PowerCache):
     """Monomial ideal of a power-series ring, canonical antichain form."""
 
@@ -189,11 +175,16 @@ class MonomialIdeal(_PowerCache):
         if self.is_zero or other.is_zero:
             return self.ring.zero_ideal()
         d = self.ring.dim
-        cands = {
-            tuple(a[i] + b[i] for i in range(d))
-            for a in self.gens
-            for b in other.gens
-        }
+        if d == 2:
+            cands = {
+                (a0 + b0, a1 + b1) for a0, a1 in self.gens for b0, b1 in other.gens
+            }
+        else:
+            cands = {
+                tuple(a[i] + b[i] for i in range(d))
+                for a in self.gens
+                for b in other.gens
+            }
         return MonomialIdeal(self.ring, _antichain(cands), _canonical=True)
 
     def __add__(self, other):
@@ -228,9 +219,15 @@ class MonomialIdeal(_PowerCache):
         d = self.ring.dim
         out = None
         for b in other.gens:
-            shifted = _antichain(
-                tuple(max(g[i] - b[i], 0) for i in range(d)) for g in self.gens
-            )
+            if d == 2:
+                b0, b1 = b
+                shifted = _antichain(
+                    (max(g0 - b0, 0), max(g1 - b1, 0)) for g0, g1 in self.gens
+                )
+            else:
+                shifted = _antichain(
+                    tuple(max(g[i] - b[i], 0) for i in range(d)) for g in self.gens
+                )
             part = MonomialIdeal(self.ring, shifted, _canonical=True)
             out = part if out is None else out.intersect(part)
         return out
@@ -243,7 +240,15 @@ class MonomialIdeal(_PowerCache):
 
     def contains(self, other) -> bool:
         self._check(other)
-        return all(self.contains_element(g) for g in other.gens)
+        if self.ring.dim == 2 and not CROSS_CHECK:
+            return _contains_plane(self.gens, other.gens)
+        scan = all(self.contains_element(g) for g in other.gens)
+        if self.ring.dim == 2 and _contains_plane(self.gens, other.gens) != scan:
+            raise InternalInconsistencyError(
+                f"containment routes disagree on {self} >= {other}: "
+                f"generator scan says {scan}, staircase walk says {not scan}"
+            )
+        return scan
 
     def minimal_generators(self) -> tuple:
         return self.gens
@@ -271,6 +276,8 @@ class MonomialIdeal(_PowerCache):
         """Length of R/self; INFINITE when self is not cofinite."""
         if self.is_zero:
             return INFINITE
+        if self.ring.dim == 2 and not CROSS_CHECK:
+            return _colength_walk(self.gens)
         box = self._box()
         if box is None:
             return INFINITE
@@ -286,8 +293,6 @@ class MonomialIdeal(_PowerCache):
                     f"colength routes disagree on {self}: {routes}"
                 )
             return routes["scan"]
-        if self.ring.dim == 2:
-            return _colength_walk(self.gens)
         if len(self.gens) <= IE_GENERATOR_CAP:
             return _colength_ie(self.gens, box)
         return _colength_scan(self.gens, box)
@@ -313,6 +318,21 @@ def _intersect_plane(ga: tuple, gb: tuple) -> tuple:
             out.append((x, h))
             prev = h
     return tuple(out)
+
+
+def _contains_plane(ga: tuple, gb: tuple) -> bool:
+    """Whether the plane monomial ideal generated by ga contains the one
+    generated by gb, both canonical: walking gb left to right against the
+    staircase height of ga, every generator of gb must sit on or above it."""
+    ia = -1
+    h = INFINITE
+    for x, y in gb:
+        while ia + 1 < len(ga) and ga[ia + 1][0] <= x:
+            ia += 1
+            h = ga[ia][1]
+        if y < h:
+            return False
+    return True
 
 
 def _colength_walk(gens: tuple):

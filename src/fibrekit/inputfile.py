@@ -19,7 +19,7 @@ Errors carry 1-based line and column positions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InputError, ParseError
 from .filtration import FiltrationSpec
@@ -29,8 +29,7 @@ MAXIMAL = "maximal"
 _IDEAL_KEYS = ("I", "J", "K")
 
 
-@dataclass
-class InputDocument:
+class InputDocument(NamedTuple):
     """Parsed but not yet validated-against-theory input."""
 
     ring: object

@@ -12,8 +12,8 @@ Everything here is a finite, certified check:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .analysis import bounded_sum
 from .errors import InputError, NotAReductionError, TheoremViolationError
@@ -21,8 +21,7 @@ from .filtration import FiltrationSpec
 from .ideals import quotient_length
 
 
-@dataclass(frozen=True)
-class ReductionData:
+class ReductionData(NamedTuple):
     """Certified reduction number of J for the filtration."""
 
     r: int
@@ -67,8 +66,7 @@ def reduction_number(spec: FiltrationSpec, *, bound: int = 50) -> ReductionData:
     )
 
 
-@dataclass(frozen=True)
-class ElementProbe:
+class ElementProbe(NamedTuple):
     """Outcome of testing one degree-one fiber element."""
 
     element: str
@@ -153,8 +151,7 @@ def probe_fiber_superficial(
     )
 
 
-@dataclass(frozen=True)
-class SequenceCheck:
+class SequenceCheck(NamedTuple):
     """Degree-by-degree ideal-equality certificate, e.g. J cap I_n = J I_{n-1}."""
 
     name: str
@@ -227,8 +224,7 @@ class DepthClass(Enum):
     LOW = "depth < dim - 1"
 
 
-@dataclass(frozen=True)
-class GradedDepth:
+class GradedDepth(NamedTuple):
     """Depth classification of the associated graded ring via length sums.
 
     cm_sum     = sum_n len((I_n + J)/J)

@@ -86,7 +86,8 @@ def sg_report():
 
 @contextlib.contextmanager
 def colength_cross_check():
-    """Force every colength call inside the block to run all routes."""
+    """Force every colength call and every plane containment test inside
+    the block to run all routes and compare them."""
     old = fibrekit.ideals.CROSS_CHECK
     fibrekit.ideals.CROSS_CHECK = True
     try:

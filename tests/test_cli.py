@@ -51,6 +51,16 @@ class TestAnalyzeCommand:
         run(capsys, "analyze", str(path), "--report", str(second))
         assert second.read_text() == written
 
+    @pytest.mark.parametrize("name", _SELFTEST_FIXTURES)
+    def test_report_file_equals_tree_stdout(self, tmp_path, capsys, name):
+        path = write_fixture(tmp_path, name)
+        report_path = tmp_path / "out.json"
+        code, out, _ = run(
+            capsys, "analyze", str(path), "--format", "tree", "--report", str(report_path)
+        )
+        assert code == 0
+        assert report_path.read_bytes() == out.encode("utf-8")
+
     def test_report_round_trips_through_input_block(self, tmp_path, capsys):
         path = write_fixture(tmp_path, SG)
         report_path = tmp_path / "sg.json"

@@ -142,6 +142,18 @@ class TestTerms:
             assert spec.jterm(n) == spec.J * spec.term(n)
             assert spec.kjterm(n) == spec.K * spec.J * spec.term(n)
 
+    def test_kcolon_is_cached_colon(self):
+        spec = make_x3_spec()
+        for n in range(0, 4):
+            got = spec.kcolon(n)
+            assert got == spec.kterm(n).colon(spec.J)
+            assert spec.kcolon(n) is got
+
+    def test_kcolon_needs_j(self):
+        spec = FiltrationSpec(plane().ideal([(2, 0), (0, 2)]))
+        with pytest.raises(MissingReductionError):
+            spec.kcolon(1)
+
     def test_semigroup_terms(self):
         spec = make_sg_spec()
         assert spec.term(2) == spec.I * spec.I

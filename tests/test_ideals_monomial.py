@@ -14,6 +14,7 @@ import fibrekit.ideals
 from fibrekit import (
     ComputationError,
     ContainmentError,
+    InternalInconsistencyError,
     PowerSeriesRing,
     RingMismatchError,
     quotient_length,
@@ -173,6 +174,64 @@ class TestOperations:
         assert not small.contains(big)
 
 
+def random_plane_ideal(rng, ring, cap=6):
+    """Random plane ideal, cofinite or not: each pure power is drawn only
+    half of the time, and the zero ideal comes up when nothing is drawn."""
+    gens = set()
+    if rng.random() < 0.5:
+        gens.add((rng.randint(1, cap), 0))
+    if rng.random() < 0.5:
+        gens.add((0, rng.randint(1, cap)))
+    for _ in range(rng.randint(0, 4)):
+        gens.add((rng.randint(0, cap), rng.randint(0, cap)))
+    gens.discard((0, 0))
+    return ring.ideal(gens)
+
+
+def oracle_contains(big, small, bound=14):
+    """big >= small by membership of every lattice point of a box that holds
+    every generator of small."""
+    pts = [(i, j) for i in range(bound) for j in range(bound)]
+    return all(oracle_member(big, p) for p in pts if oracle_member(small, p))
+
+
+class TestPlaneContainment:
+    def test_walk_against_membership_oracle(self):
+        rng = random.Random(17)
+        ring = PowerSeriesRing("x", "y")
+        ideals = [random_plane_ideal(rng, ring) for _ in range(40)]
+        ideals += [ring.unit_ideal(), ring.zero_ideal(), ring.maximal_ideal()]
+        # every ordered pair, so equal ideals (a, a) are covered as well
+        for a in ideals:
+            for b in ideals:
+                expected = oracle_contains(a, b)
+                assert fibrekit.ideals._contains_plane(a.gens, b.gens) == expected
+                with colength_cross_check():
+                    assert a.contains(b) == expected, (a, b)
+
+    def test_generators_sharing_an_x_coordinate(self):
+        ring = PowerSeriesRing("x", "y")
+        a = ring.ideal([(0, 4), (2, 2), (5, 0)])
+        # x-coordinates 2 and 5 meet a's corners: the height there is a's own
+        assert a.contains(ring.ideal([(2, 2), (5, 0)]))
+        assert a.contains(ring.ideal([(2, 3), (5, 1)]))
+        assert not a.contains(ring.ideal([(2, 1), (5, 0)]))
+        assert not a.contains(ring.ideal([(0, 5), (4, 1)]))
+        assert a.contains(ring.ideal([(0, 5), (4, 2)]))
+
+    def test_cross_check_catches_a_wrong_walk(self, monkeypatch):
+        ring = PowerSeriesRing("x", "y")
+        big = ring.ideal([(2, 0), (0, 2)])
+        small = ring.ideal([(3, 0), (0, 3)])
+        monkeypatch.setattr(
+            fibrekit.ideals, "_contains_plane", lambda ga, gb: False
+        )
+        assert big.contains(small) is False
+        with colength_cross_check():
+            with pytest.raises(InternalInconsistencyError):
+                big.contains(small)
+
+
 class TestColength:
     def test_against_box_oracle_plane(self):
         rng = random.Random(15)
@@ -196,10 +255,16 @@ class TestColength:
         assert fibrekit.ideals.CROSS_CHECK is False
 
     def test_non_cofinite_ideal_has_infinite_colength(self):
+        # no pure power at all, none of y, none of x: the d = 2 staircase
+        # route must notice on its own, without the pure-power box
         ring = PowerSeriesRing("x", "y")
-        ideal = ring.ideal([(2, 1)])
-        assert ideal.colength() == INFINITE
-        assert math.isinf(ideal.colength())
+        assert fibrekit.ideals.CROSS_CHECK is False
+        for gens in ([(2, 1)], [(3, 0), (1, 2)], [(2, 1), (0, 4)]):
+            ideal = ring.ideal(gens)
+            assert ideal.colength() == INFINITE
+            assert math.isinf(ideal.colength())
+            with colength_cross_check():
+                assert ideal.colength() == INFINITE
 
     def test_unit_ideal_colength_zero(self):
         ring = PowerSeriesRing("x", "y")
