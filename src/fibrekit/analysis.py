@@ -22,16 +22,15 @@ from __future__ import annotations
 import math
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import (
     InternalInconsistencyError,
     NotYetPolynomialError,
     TheoremViolationError,
-    UndeterminedSumError,
 )
 from .filtration import FiltrationSpec, HilbertTable
-from .ideals import quotient_length
+from .filtration import bounded_sum  # noqa: F401  (re-exported)
 
 
 def binomial(m: int, k: int) -> int:
@@ -63,9 +62,10 @@ class CoefficientSet(NamedTuple):
     """One fitted coefficient vector with its validation metadata.
 
     coefficients[i] is the i-th coefficient in `basis`; the fitted
-    polynomial agrees with the source sequence exactly for n >= postulation,
-    and that agreement was checked on a run of at least `window` + fit-size
-    points ending at n_max.
+    polynomial agrees with the source sequence exactly for
+    postulation <= n <= n_max, a run of at least fit-size + `window` points
+    (window = d + 2 by default). The fit is window-validated, not certified:
+    nothing proves the agreement past n_max.
     """
 
     label: str                      # "E", "G" or "F"
@@ -136,12 +136,11 @@ def fit_coefficients(
             raise InternalInconsistencyError(
                 "non-integer coefficient from a unimodular fit system"
             )
-    coeffs = tuple(int(c) for c in sol)
     fitted = CoefficientSet(
         label=label,
         dim=dim,
         basis=basis,
-        coefficients=coeffs,
+        coefficients=tuple(int(c) for c in sol),
         postulation=0,
         n_max=n_max,
         window=window,
@@ -157,15 +156,7 @@ def fit_coefficients(
             f"not enough validated points ({n_max - n0 + 1} < {ncoef + window}); "
             "raise n_max"
         )
-    return CoefficientSet(
-        label=label,
-        dim=dim,
-        basis=basis,
-        coefficients=coeffs,
-        postulation=n0,
-        n_max=n_max,
-        window=window,
-    )
+    return fitted._replace(postulation=n0)
 
 
 class CoefficientReport(NamedTuple):
@@ -210,26 +201,6 @@ def coefficient_report(table: HilbertTable, dim: int) -> CoefficientReport:
     return CoefficientReport(e=e, g=g, f=f)
 
 
-def bounded_sum(term: Callable[[int], int], reduction_number: int, dim: int) -> int:
-    """Sum term(n) for n >= 1, certified finite.
-
-    Every summand with reduction_number < n <= reduction_number + dim + 2
-    must vanish identically; a nonzero tail raises UNDETERMINED rather than
-    truncating silently.
-    """
-    stop = reduction_number + dim + 2
-    total = 0
-    for n in range(1, stop + 1):
-        v = term(n)
-        if n > reduction_number and v != 0:
-            raise UndeterminedSumError(
-                f"length sum does not terminate: summand at n = {n} is {v} "
-                f"although the reduction number is {reduction_number}"
-            )
-        total += v
-    return total
-
-
 class VSequence(NamedTuple):
     """The d = 2 length decomposition of g_1 and g_2.
 
@@ -262,9 +233,7 @@ def v_sequence(
     e0 = coefficients.e0
     values = [e0, e0 - table.hk[1] + table.hk[0]]
     for n in range(2, table.n_max + 1):
-        first = quotient_length(spec.kterm(n), spec.kjterm(n - 1))
-        second = quotient_length(spec.kcolon(n - 1), spec.kterm(n - 2))
-        values.append(first - second)
+        values.append(spec.length("K upper", n) - spec.length("colon", n))
     g1 = sum(values[1:])
     g2 = sum((n - 1) * values[n] for n in range(1, len(values))) + table.hk[0]
     if g1 != coefficients.g.coefficients[1] or g2 != coefficients.g.coefficients[2]:
@@ -308,9 +277,7 @@ def fundamental_lemma_rows(
     rows = []
     for n in range(n_start, n_stop + 1):
         lhs = e0 - table.delta2_hk(n)
-        rhs = quotient_length(spec.kterm(n), spec.kjterm(n - 1)) - quotient_length(
-            spec.kcolon(n - 1), spec.kterm(n - 2)
-        )
+        rhs = spec.length("K upper", n) - spec.length("colon", n)
         if lhs != rhs:
             raise TheoremViolationError(
                 f"second-difference identity fails at n = {n}: {lhs} != {rhs}"
@@ -397,12 +364,7 @@ def g1_from_lengths_dim1(
     j = spec.require_j()
     if len(j.minimal_generators()) != 1:
         raise InternalInconsistencyError("dimension-1 reductions are principal")
-    total = bounded_sum(
-        lambda n: quotient_length(spec.kterm(n), spec.kjterm(n - 1)),
-        reduction_number,
-        spec.dim,
-    )
-    value = total - table.hk[0]
+    value = spec.length_sum("K upper", reduction_number) - table.hk[0]
     if value != coefficients.g1:
         raise TheoremViolationError(
             f"dimension-1 length formula gives g_1 = {value}, "

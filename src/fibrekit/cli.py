@@ -51,8 +51,8 @@ def _read_file(path: str) -> str:
 
 def _load(path: str, args):
     doc, spec = load_spec(_read_file(path))
-    n_max = args.n_max if args.n_max is not None else None
-    n_check = args.n_check if args.n_check is not None else None
+    n_max = args.n_max if args.n_max is not None else spec.n_max
+    n_check = args.n_check if args.n_check is not None else spec.n_check
     fmt = args.format if args.format is not None else doc.fmt
     return spec, n_max, n_check, fmt
 
@@ -74,7 +74,7 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_coeffs(args) -> int:
     spec, n_max, _, _ = _load(args.file, args)
-    table, coefficients = fit_tables(spec, n_max if n_max is not None else spec.n_max)
+    table, coefficients = fit_tables(spec, n_max)
     out = []
     for cs in (coefficients.e, coefficients.g, coefficients.f):
         tup = "(" + ", ".join(str(x) for x in cs.coefficients) + ")"
@@ -91,7 +91,7 @@ def _cmd_lemma(args) -> int:
     if spec.dim != 2:
         raise InputError("the second-difference identity table needs dimension 2")
     spec.require_j()
-    table, coefficients = fit_tables(spec, n_max if n_max is not None else spec.n_max)
+    table, coefficients = fit_tables(spec, n_max)
     rows = fundamental_lemma_rows(spec, table, coefficients.e0)
     out = [f"e_0 = {coefficients.e0}; identity rows for n = 2..{table.n_max}:"]
     for row in rows:
@@ -102,7 +102,7 @@ def _cmd_lemma(args) -> int:
 
 def _cmd_series(args) -> int:
     spec, n_max, _, _ = _load(args.file, args)
-    table, coefficients = fit_tables(spec, n_max if n_max is not None else spec.n_max)
+    table, coefficients = fit_tables(spec, n_max)
     series = fiber_hilbert_series(table, spec.dim, coefficients.f)
     out = [f"fiber series: {series}"]
     if series.has_negative:
@@ -127,7 +127,7 @@ def _cmd_reduction(args) -> int:
 def _cmd_check(args) -> int:
     spec, n_max, n_check, _ = _load(args.file, args)
     if args.target == "depth-g":
-        table, coefficients = fit_tables(spec, n_max if n_max is not None else spec.n_max)
+        table, coefficients = fit_tables(spec, n_max)
         data = reduction_number(spec)
         gd = classify_graded_depth(spec, coefficients.e1, data.r)
         out = [

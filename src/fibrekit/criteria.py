@@ -22,7 +22,6 @@ from .analysis import (
     CoefficientReport,
     HilbertSeries,
     VSequence,
-    bounded_sum,
     coefficient_report,
     fiber_hilbert_series,
     fundamental_lemma_rows,
@@ -34,8 +33,7 @@ from .errors import (
     NotYetPolynomialError,
     TheoremViolationError,
 )
-from .filtration import FiltrationSpec, HilbertTable, build_table
-from .ideals import quotient_length
+from .filtration import FiltrationSpec, HilbertTable, build_table, sum_window
 from .reductions import (
     DepthClass,
     GradedDepth,
@@ -154,10 +152,7 @@ def check_g1_lower_bound(
     spec: FiltrationSpec, coefficients: CoefficientReport, reduction: ReductionData
 ) -> CriterionResult:
     """g_1 >= sum_n len((K I_n + J)/J) - len(R/K); a violation is a bug."""
-    j = spec.require_j()
-    s_low = bounded_sum(
-        lambda n: quotient_length(spec.kterm(n) + j, j), reduction.r, spec.dim
-    ) - quotient_length(spec.ring.unit_ideal(), spec.K)
+    s_low = spec.g1_sum("K lower", reduction.r)
     g1 = coefficients.g1
     if g1 < s_low:
         raise TheoremViolationError(
@@ -169,7 +164,7 @@ def check_g1_lower_bound(
         lhs=g1,
         rhs=s_low,
         note="g_1 >= lower length sum",
-        bound=reduction.r + spec.dim + 2,
+        bound=sum_window(reduction.r, spec.dim),
     )
 
 
@@ -177,12 +172,7 @@ def check_g1_upper_bound(
     spec: FiltrationSpec, coefficients: CoefficientReport, reduction: ReductionData
 ) -> CriterionResult:
     """g_1 <= sum_n len(K I_n / K J I_{n-1}) - len(R/K), reported as data."""
-    spec.require_j()
-    s_up = bounded_sum(
-        lambda n: quotient_length(spec.kterm(n), spec.kjterm(n - 1)),
-        reduction.r,
-        spec.dim,
-    ) - quotient_length(spec.ring.unit_ideal(), spec.K)
+    s_up = spec.g1_sum("K upper", reduction.r)
     g1 = coefficients.g1
     ok = g1 <= s_up
     return CriterionResult(
@@ -191,7 +181,44 @@ def check_g1_upper_bound(
         lhs=g1,
         rhs=s_up,
         note="g_1 <= upper length sum" if ok else "upper length sum exceeded",
-        bound=reduction.r + spec.dim + 2,
+        bound=sum_window(reduction.r, spec.dim),
+    )
+
+
+def _gated_equality(
+    name: str,
+    entry: str,
+    notes: tuple,
+    spec: FiltrationSpec,
+    coefficients: CoefficientReport,
+    reduction: ReductionData,
+    graded_depth: GradedDepth,
+) -> CriterionResult:
+    """g_1 = sum_n `entry` - len(R/K), with notes = (PASS note, FAIL note).
+
+    The verdict is issued only when the graded ring has certified depth
+    >= dim - 1; otherwise the equality is reported without one.
+    """
+    g1 = coefficients.g1
+    rhs = spec.g1_sum(entry, reduction.r)
+    equal = g1 == rhs
+    if graded_depth.classification is DepthClass.LOW:
+        status = CriterionStatus.PRECONDITION_NOT_ESTABLISHED
+        note = (
+            "graded depth below dim - 1: equality "
+            f"{'holds' if equal else 'fails'} but carries no verdict"
+        )
+    elif equal:
+        status, note = CriterionStatus.PASS, notes[0]
+    else:
+        status, note = CriterionStatus.FAIL, notes[1]
+    return CriterionResult(
+        name=name,
+        status=status,
+        lhs=g1,
+        rhs=rhs,
+        note=note,
+        bound=sum_window(reduction.r, spec.dim),
     )
 
 
@@ -207,33 +234,14 @@ def check_fiber_cm(
 
     decisive exactly when the graded ring has certified depth >= dim - 1.
     """
-    spec.require_j()
-    rhs = bounded_sum(
-        lambda n: quotient_length(spec.kterm(n) + spec.jterm(n - 1), spec.jterm(n - 1)),
-        reduction.r,
-        spec.dim,
-    ) - quotient_length(spec.ring.unit_ideal(), spec.K)
-    g1 = coefficients.g1
-    equal = g1 == rhs
-    if graded_depth.classification is DepthClass.LOW:
-        return CriterionResult(
-            name="fiber-cohen-macaulay",
-            status=CriterionStatus.PRECONDITION_NOT_ESTABLISHED,
-            lhs=g1,
-            rhs=rhs,
-            note=(
-                "graded depth below dim - 1: equality "
-                f"{'holds' if equal else 'fails'} but carries no verdict"
-            ),
-            bound=reduction.r + spec.dim + 2,
-        )
-    return CriterionResult(
-        name="fiber-cohen-macaulay",
-        status=CriterionStatus.PASS if equal else CriterionStatus.FAIL,
-        lhs=g1,
-        rhs=rhs,
-        note="fiber cone is Cohen-Macaulay" if equal else "fiber cone is not Cohen-Macaulay",
-        bound=reduction.r + spec.dim + 2,
+    return _gated_equality(
+        "fiber-cohen-macaulay",
+        "K cm",
+        ("fiber cone is Cohen-Macaulay", "fiber cone is not Cohen-Macaulay"),
+        spec,
+        coefficients,
+        reduction,
+        graded_depth,
     )
 
 
@@ -249,35 +257,14 @@ def check_fiber_depth(
 
     under the same graded-depth gate as the Cohen-Macaulay test.
     """
-    spec.require_j()
-    rhs = bounded_sum(
-        lambda n: quotient_length(spec.kterm(n), spec.kjterm(n - 1)),
-        reduction.r,
-        spec.dim,
-    ) - quotient_length(spec.ring.unit_ideal(), spec.K)
-    g1 = coefficients.g1
-    equal = g1 == rhs
-    if graded_depth.classification is DepthClass.LOW:
-        return CriterionResult(
-            name="fiber-depth",
-            status=CriterionStatus.PRECONDITION_NOT_ESTABLISHED,
-            lhs=g1,
-            rhs=rhs,
-            note=(
-                "graded depth below dim - 1: equality "
-                f"{'holds' if equal else 'fails'} but carries no verdict"
-            ),
-            bound=reduction.r + spec.dim + 2,
-        )
-    return CriterionResult(
-        name="fiber-depth",
-        status=CriterionStatus.PASS if equal else CriterionStatus.FAIL,
-        lhs=g1,
-        rhs=rhs,
-        note=(
-            "fiber depth >= dim - 1" if equal else "fiber depth < dim - 1"
-        ),
-        bound=reduction.r + spec.dim + 2,
+    return _gated_equality(
+        "fiber-depth",
+        "K upper",
+        ("fiber depth >= dim - 1", "fiber depth < dim - 1"),
+        spec,
+        coefficients,
+        reduction,
+        graded_depth,
     )
 
 
@@ -297,8 +284,8 @@ def check_minimal_multiplicity(
     """
     j = spec.require_j()
     ki = spec.kterm(1)
-    kj = spec.K * j
-    lrk = quotient_length(spec.ring.unit_ideal(), spec.K)
+    kj = spec.kjterm(0)
+    lrk = spec.length("K colength", 0)
     g1 = coefficients.g1
     mu_i = len(spec.I.minimal_generators())
     flags = MinimalMultiplicityFlags(
@@ -431,18 +418,15 @@ def check_minimal_multiplicity_equivalences(
     return result, conds
 
 
-def fit_tables(
-    spec: FiltrationSpec,
-    n_max: int | None,
-    *,
-    start: int | None = None,
-    retries: int = 3,
-):
+FIT_RETRIES = 3
+
+
+def fit_tables(spec: FiltrationSpec, n_max: int | None, *, start: int | None = None):
     """Build the length table and fit all three coefficient sets.
 
     When n_max is not pinned by the caller, a too-short table is retried
-    with a longer one (starting from `start` when given); a pinned n_max
-    fails fast with the advisory error.
+    (up to FIT_RETRIES times) with a longer one, starting from `start` when
+    given; a pinned n_max fails fast with the advisory error.
     """
     auto = n_max is None
     dim = spec.dim
@@ -456,7 +440,7 @@ def fit_tables(
         try:
             return table, coefficient_report(table, dim)
         except NotYetPolynomialError:
-            if not auto or attempt >= retries:
+            if not auto or attempt >= FIT_RETRIES:
                 raise
             attempt += 1
             nm += 2 * dim + 3
@@ -519,7 +503,7 @@ def analyze(
                 lhs=g1_onedim_value,
                 rhs=coefficients.g1,
                 note="dimension-1 length formula agrees with the fit",
-                bound=reduction.r + spec.dim + 2,
+                bound=sum_window(reduction.r, spec.dim),
             )
         )
 

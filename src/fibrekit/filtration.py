@@ -12,26 +12,79 @@ J) and validates the defining hypotheses up front:
   explicit range are enough: the recursion propagates both properties to all
   higher indices).
 
-Terms, K-terms, J-terms and the colons (K I_n : J) are cached on the spec.
+Terms, K-terms, J-terms and K J-terms are cached on the spec.
 build_table evaluates H(n) = len(R/I_n), H_K(n) = len(R/K I_n),
 H_F(n) = len(I_n/K I_n) and checks H_K = H + H_F pointwise.
+
+The spec also keeps the length ledger: every length the criteria, the
+identities and the depth classifier compare, computed once per degree and
+memoized by (entry, n), with each entry's certified sum over n >= 1
+(bounded_sum) memoized by (entry, r). The entries at degree n:
+
+* "K colength": len(R / K I_n); at n = 0 it is len(R/K);
+* "K lower":    len((K I_n + J) / J);
+* "K upper":    len(K I_n / K J I_{n-1});
+* "K cm":       len((K I_n + J I_{n-1}) / J I_{n-1});
+* "G cm":       len((I_n + J) / J);
+* "G depth":    len(I_n / J I_{n-1});
+* "colon":      len((K I_{n-1} : J) / K I_{n-2}).
+
+Only the integers are memoized; the ideals come from the term caches.
+build_table records each H_K(n) it computes as "K colength" at n, so
+len(R/K) is the table's own H_K(0) and is not computed again.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .errors import (
     InfiniteLengthError,
     InputError,
     InternalInconsistencyError,
     MissingReductionError,
+    UndeterminedSumError,
 )
-from .ideals import INFINITE
+from .ideals import INFINITE, quotient_length
+
+# ledger entry -> the pair (big, small) whose quotient length it holds at n
+_LEDGER = {
+    "K colength": lambda s, n: (s.term(0), s.kterm(n)),
+    "K lower": lambda s, n: (s.kterm(n) + s.require_j(), s.J),
+    "K upper": lambda s, n: (s.kterm(n), s.kjterm(n - 1)),
+    "K cm": lambda s, n: (s.kterm(n) + s.jterm(n - 1), s.jterm(n - 1)),
+    "G cm": lambda s, n: (s.term(n) + s.require_j(), s.J),
+    "G depth": lambda s, n: (s.term(n), s.jterm(n - 1)),
+    "colon": lambda s, n: (s.kterm(n - 1).colon(s.require_j()), s.kterm(n - 2)),
+}
+
+
+def sum_window(reduction_number: int, dim: int) -> int:
+    """Last degree a certified length sum inspects."""
+    return reduction_number + dim + 2
+
+
+def bounded_sum(term: Callable[[int], int], reduction_number: int, dim: int) -> int:
+    """Sum term(n) for n >= 1, certified finite.
+
+    Every summand with reduction_number < n <= sum_window(reduction_number,
+    dim) must vanish identically; a nonzero tail raises UNDETERMINED rather
+    than truncating silently.
+    """
+    total = 0
+    for n in range(1, sum_window(reduction_number, dim) + 1):
+        v = term(n)
+        if n > reduction_number and v != 0:
+            raise UndeterminedSumError(
+                f"length sum does not terminate: summand at n = {n} is {v} "
+                f"although the reduction number is {reduction_number}"
+            )
+        total += v
+    return total
 
 
 class FiltrationSpec:
-    """Validated (filtration, K, J) package with term caches.
+    """Validated (filtration, K, J) package with term caches and the length ledger.
 
     Treat instances as immutable; the caches only grow.
     """
@@ -111,8 +164,9 @@ class FiltrationSpec:
         self._kterms: dict = {}
         self._jterms: dict = {}
         self._kjterms: dict = {}
-        self._kcolons: dict = {}
         self._kj = None
+        self._lengths: dict = {}
+        self._sums: dict = {}
 
     @staticmethod
     def _extend(terms, n):
@@ -182,14 +236,29 @@ class FiltrationSpec:
             self._kjterms[n] = got
         return got
 
-    def kcolon(self, n: int):
-        """(K I_n : J)."""
-        got = self._kcolons.get(n)
+    def length(self, name: str, n: int) -> int:
+        """The ledger entry `name` at degree n (see the module docstring)."""
+        key = (name, n)
+        got = self._lengths.get(key)
         if got is None:
-            j = self.require_j()
-            got = self.kterm(n).colon(j)
-            self._kcolons[n] = got
+            got = quotient_length(*_LEDGER[name](self, n))
+            self._lengths[key] = got
         return got
+
+    def length_sum(self, name: str, reduction_number: int) -> int:
+        """Certified sum over n >= 1 of the ledger entry `name`."""
+        key = (name, reduction_number)
+        got = self._sums.get(key)
+        if got is None:
+            got = bounded_sum(
+                lambda n: self.length(name, n), reduction_number, self.dim
+            )
+            self._sums[key] = got
+        return got
+
+    def g1_sum(self, name: str, reduction_number: int) -> int:
+        """length_sum(name) - len(R/K), the shape of every g_1 length formula."""
+        return self.length_sum(name, reduction_number) - self.length("K colength", 0)
 
     def __repr__(self):
         return (
@@ -235,6 +304,7 @@ def build_table(spec: FiltrationSpec, n_max: int) -> HilbertTable:
             raise InternalInconsistencyError(f"K*I_{n} not inside I_{n}")
         h.append(ln)
         hk.append(lkn)
+        spec._lengths[("K colength", n)] = lkn
         hf.append(lkn - ln)
     for n in range(n_max + 1):
         if hk[n] != h[n] + hf[n]:

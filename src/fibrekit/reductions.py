@@ -15,10 +15,8 @@ from __future__ import annotations
 from enum import Enum
 from typing import NamedTuple
 
-from .analysis import bounded_sum
 from .errors import InputError, NotAReductionError, TheoremViolationError
 from .filtration import FiltrationSpec
-from .ideals import quotient_length
 
 
 class ReductionData(NamedTuple):
@@ -78,10 +76,9 @@ class ElementProbe(NamedTuple):
 
 
 def _degree_one_element(spec: FiltrationSpec, element):
-    """Validate x in I_1 \\ K I_1 and return (canonical element, principal ideal)."""
+    """Validate x in I_1 \\ K I_1 and return it in canonical form."""
     ring = spec.ring
     x = ring.validate_monomial(element)
-    xi = ring.ideal([x])
     if not spec.term(1).contains_element(x):
         raise InputError(
             f"element {ring.format_monomial(x)} is not in I_1: "
@@ -92,7 +89,7 @@ def _degree_one_element(spec: FiltrationSpec, element):
             f"element {ring.format_monomial(x)} lies in K I_1: "
             "its degree-one image in the fiber cone is zero"
         )
-    return x, xi
+    return x
 
 
 def probe_fiber_regular(spec: FiltrationSpec, element, *, n_check: int = 8) -> ElementProbe:
@@ -100,7 +97,8 @@ def probe_fiber_regular(spec: FiltrationSpec, element, *, n_check: int = 8) -> E
 
     Degree-n test: (K I_n : x) meets I_{n-1} exactly in K I_{n-1}.
     """
-    x, xi = _degree_one_element(spec, element)
+    x = _degree_one_element(spec, element)
+    xi = spec.ring.ideal([x])
     failed_at = None
     for n in range(1, n_check + 1):
         lhs = spec.kterm(n).colon(xi).intersect(spec.term(n - 1))
@@ -122,7 +120,8 @@ def probe_fiber_superficial(
 ) -> ElementProbe:
     """Find the least offset c with (K I_n : x) cap I_c = K I_{n-1} for
     c < n <= n_check; existence of such a c is the superficiality test."""
-    x, xi = _degree_one_element(spec, element)
+    x = _degree_one_element(spec, element)
+    xi = spec.ring.ideal([x])
     last_fail = None
     for c in range(c_max + 1):
         failed_at = None
@@ -188,21 +187,10 @@ def fiber_regular_sequence_check(
     Passing certifies the degree-one images of the given elements behave as
     a regular sequence on the fiber cone through the checked degrees.
     """
-    ring = spec.ring
-    xs = [ring.validate_monomial(e) for e in elements]
+    xs = [_degree_one_element(spec, e) for e in elements]
     if not xs:
         raise InputError("need at least one element to test")
-    for x in xs:
-        if not spec.term(1).contains_element(x):
-            raise InputError(
-                f"element {ring.format_monomial(x)} is not in I_1"
-            )
-        if spec.kterm(1).contains_element(x):
-            raise InputError(
-                f"element {ring.format_monomial(x)} lies in K I_1: "
-                "its degree-one image in the fiber cone is zero"
-            )
-    xideal = ring.ideal(xs)
+    xideal = spec.ring.ideal(xs)
     failed_at = None
     for n in range(1, n_check + 1):
         lhs = xideal.intersect(spec.kterm(n))
@@ -243,17 +231,8 @@ class GradedDepth(NamedTuple):
 def classify_graded_depth(
     spec: FiltrationSpec, e1: int, reduction_number: int
 ) -> GradedDepth:
-    j = spec.require_j()
-    cm_sum = bounded_sum(
-        lambda n: quotient_length(spec.term(n) + j, j),
-        reduction_number,
-        spec.dim,
-    )
-    depth_sum = bounded_sum(
-        lambda n: quotient_length(spec.term(n), spec.jterm(n - 1)),
-        reduction_number,
-        spec.dim,
-    )
+    cm_sum = spec.length_sum("G cm", reduction_number)
+    depth_sum = spec.length_sum("G depth", reduction_number)
     if not (cm_sum <= e1 <= depth_sum):
         raise TheoremViolationError(
             f"e_1 = {e1} escapes the certified range "

@@ -191,6 +191,38 @@ class TestAllTrueEquivalenceInstance:
         assert report.series.numerator == (1,)
 
 
+class TestDimensionThree:
+    """End to end in k[[x, y, z]] with K = m and I = J, so r = 0."""
+
+    @pytest.mark.parametrize(
+        "gens, e0",
+        [
+            ([(1, 0, 0), (0, 1, 0), (0, 0, 1)], 1),
+            ([(1, 0, 0), (0, 1, 0), (0, 0, 2)], 2),
+        ],
+    )
+    def test_parameter_ideal(self, gens, e0):
+        ring = PowerSeriesRing("x", "y", "z")
+        i = ring.ideal(gens)
+        report = analyze(FiltrationSpec(i, J=i))
+        assert report.coefficients.e.coefficients == (e0, 0, 0, 0)
+        assert report.coefficients.g.coefficients == (e0, -1, 1, -1)
+        assert report.coefficients.f.coefficients == (1, -1, 1)
+        assert report.reduction.r == 0
+        assert report.graded_depth.classification is DepthClass.CM
+        for name in (
+            "g1-lower-bound",
+            "g1-upper-bound",
+            "fiber-cohen-macaulay",
+            "fiber-depth",
+        ):
+            c = report.criterion(name)
+            assert (c.status, c.lhs, c.rhs) == (CriterionStatus.PASS, -1, -1), name
+        for name in ("fiber-multiplicity-bound", "minimal-multiplicity-equivalences"):
+            c = report.criterion(name)
+            assert (c.status, c.lhs, c.rhs) == (CriterionStatus.PASS, 1, 1), name
+
+
 class TestWholeRingCompanion:
     def test_x3_with_k_equal_r(self):
         spec = make_x3_spec()

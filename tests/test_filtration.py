@@ -1,16 +1,24 @@
-"""FiltrationSpec validation, term caches, and Hilbert function tables."""
+"""FiltrationSpec validation, term caches, the length ledger, and Hilbert
+function tables."""
+
+import sys
 
 import pytest
 
+import fibrekit.filtration
 from fibrekit import (
     FiltrationSpec,
     InputError,
     MissingReductionError,
     PowerSeriesRing,
     SemigroupRing,
+    UndeterminedSumError,
+    analyze,
+    bounded_sum,
     build_table,
+    quotient_length,
 )
-from conftest import make_sg_spec, make_x3_spec
+from conftest import make_sg_spec, make_x3_spec, make_x4_spec
 
 
 def plane():
@@ -142,18 +150,6 @@ class TestTerms:
             assert spec.jterm(n) == spec.J * spec.term(n)
             assert spec.kjterm(n) == spec.K * spec.J * spec.term(n)
 
-    def test_kcolon_is_cached_colon(self):
-        spec = make_x3_spec()
-        for n in range(0, 4):
-            got = spec.kcolon(n)
-            assert got == spec.kterm(n).colon(spec.J)
-            assert spec.kcolon(n) is got
-
-    def test_kcolon_needs_j(self):
-        spec = FiltrationSpec(plane().ideal([(2, 0), (0, 2)]))
-        with pytest.raises(MissingReductionError):
-            spec.kcolon(1)
-
     def test_semigroup_terms(self):
         spec = make_sg_spec()
         assert spec.term(2) == spec.I * spec.I
@@ -167,6 +163,113 @@ class TestTerms:
         assert "candidate reduction" in str(err.value)
         with pytest.raises(MissingReductionError):
             spec.jterm(1)
+
+
+def direct_entry(spec, name, n):
+    """The ledger entry `name` at degree n, written out from its definition."""
+    k, j = spec.K, spec.J
+    i = spec.term
+    quotients = {
+        "K colength": lambda: (spec.ring.unit_ideal(), k * i(n)),
+        "K lower": lambda: (k * i(n) + j, j),
+        "K upper": lambda: (k * i(n), k * j * i(n - 1)),
+        "K cm": lambda: (k * i(n) + j * i(n - 1), j * i(n - 1)),
+        "G cm": lambda: (i(n) + j, j),
+        "G depth": lambda: (i(n), j * i(n - 1)),
+        "colon": lambda: ((k * i(n - 1)).colon(j), k * i(n - 2)),
+    }
+    return quotient_length(*quotients[name]())
+
+
+def count_ledger(monkeypatch):
+    """Record every ledger computation and every quotient_length call."""
+    computed, calls = [], []
+    for name, pair in list(fibrekit.filtration._LEDGER.items()):
+
+        def recorded(s, n, name=name, pair=pair):
+            computed.append((name, n))
+            return pair(s, n)
+
+        monkeypatch.setitem(fibrekit.filtration._LEDGER, name, recorded)
+    original = fibrekit.ideals.quotient_length
+
+    def counted(big, small):
+        calls.append((big, small))
+        return original(big, small)
+
+    # every fibrekit module that imported the function holds its own binding
+    for module in [m for n, m in sys.modules.items() if n.startswith("fibrekit")]:
+        for attr, value in list(vars(module).items()):
+            if value is original:
+                monkeypatch.setattr(module, attr, counted)
+    return computed, calls
+
+
+class TestLengthLedger:
+    ENTRIES = ("K colength", "K lower", "K upper", "K cm", "G cm", "G depth", "colon")
+
+    @pytest.mark.parametrize("make", [make_x3_spec, make_x4_spec, make_sg_spec])
+    def test_entries_match_their_definitions(self, make):
+        spec = make()
+        for name in self.ENTRIES:
+            for n in range(2, 5):
+                assert spec.length(name, n) == direct_entry(spec, name, n), (name, n)
+
+    def test_k_colength_at_zero_is_len_r_mod_k(self):
+        spec = make_sg_spec()
+        assert spec.length("K colength", 0) == quotient_length(
+            spec.ring.unit_ideal(), spec.K
+        )
+
+    def test_build_table_records_h_k(self, monkeypatch):
+        spec = make_x3_spec()
+        table = build_table(spec, 4)
+        computed, calls = count_ledger(monkeypatch)
+        assert [spec.length("K colength", n) for n in range(5)] == list(table.hk)
+        assert computed == [] and calls == []
+
+    def test_each_entry_is_computed_once(self, monkeypatch):
+        spec = make_x3_spec()
+        computed, calls = count_ledger(monkeypatch)
+        first = [spec.length("colon", n) for n in range(2, 6)]
+        assert [spec.length("colon", n) for n in range(2, 6)] == first
+        assert computed == [("colon", n) for n in range(2, 6)]
+        assert len(calls) == 4
+
+    def test_length_sum_is_the_memoized_bounded_sum(self, monkeypatch):
+        spec = make_x4_spec()
+        want = bounded_sum(lambda n: direct_entry(spec, "K upper", n), 2, 2)
+        computed, _ = count_ledger(monkeypatch)
+        assert spec.length_sum("K upper", 2) == want
+        assert spec.length_sum("K upper", 2) == want
+        assert computed == [("K upper", n) for n in range(1, 7)]
+        assert spec.g1_sum("K upper", 2) == want - spec.length("K colength", 0)
+
+    def test_length_sum_keeps_the_tail_check(self):
+        # r = 2 is the true reduction number; claiming r = 1 leaves a
+        # nonzero summand at n = 2 inside the window
+        spec = make_x3_spec()
+        assert spec.length("G depth", 2) != 0
+        with pytest.raises(UndeterminedSumError):
+            spec.length_sum("G depth", 1)
+
+    def test_entries_need_j(self):
+        spec = FiltrationSpec(plane().ideal([(2, 0), (0, 2)]))
+        for name in ("K lower", "K upper", "K cm", "G cm", "G depth", "colon"):
+            with pytest.raises(MissingReductionError):
+                spec.length(name, 2)
+
+    @pytest.mark.parametrize(
+        "make, parent_calls",
+        [(make_x3_spec, 69), (make_x4_spec, 69), (make_sg_spec, 40)],
+    )
+    def test_analyze_computes_no_entry_twice(self, monkeypatch, make, parent_calls):
+        # parent_calls: quotient_length calls of one analysis before the
+        # ledger, when each criterion and identity summed its own lengths
+        computed, calls = count_ledger(monkeypatch)
+        analyze(make())
+        assert len(computed) == len(set(computed))
+        assert len(calls) == len(computed) < parent_calls
 
 
 class TestBuildTable:
