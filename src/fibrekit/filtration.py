@@ -306,9 +306,4 @@ def build_table(spec: FiltrationSpec, n_max: int) -> HilbertTable:
         hk.append(lkn)
         spec._lengths[("K colength", n)] = lkn
         hf.append(lkn - ln)
-    for n in range(n_max + 1):
-        if hk[n] != h[n] + hf[n]:
-            raise InternalInconsistencyError(
-                f"H_K(n) = H(n) + H_F(n) fails at n = {n}"
-            )
     return HilbertTable(n_max=n_max, h=tuple(h), hk=tuple(hk), hf=tuple(hf))

@@ -7,13 +7,19 @@ equality of ideals:
   antichain of minimal monomial generators (sorted exponent tuples, no
   generator dividing another);
 * semigroup model: an ideal of k[[t^a : a in S]] for a numerical semigroup S
-  stored as (finite part F, conductor c), meaning F union {s in S : s >= c},
-  with c minimal and F a sorted tuple below c.
+  stored as (mask, conductor c), meaning the valuations whose bits are set
+  in the int mask, all below c, together with {s in S : s >= c}, with c
+  minimal.
 
 Nothing depends on the coefficient field; every operation is lattice or
 semigroup combinatorics over plain integers. Ideals are immutable values.
 The per-instance power cache only grows and holds immutable entries, so
 instances may be shared between threads.
+
+Semigroup ideals compute on valuation bitmasks: a product ORs one factor's
+mask shifted by each minimal generator of the other, a colon shifts right,
+and a colength is a difference of popcounts (`int.bit_count`, Python 3.10).
+Every construction checks its parts and closure with a shift per generator.
 
 Plane ideals (d = 2) have their own staircase code: containment is one
 merge walk over both generator lists, and colength is read off the
@@ -54,10 +60,14 @@ def quotient_length(big, small) -> int:
     """Length of big/small for ideals small <= big of the same ring.
 
     Containment is checked first; a violation is an error, never a negative
-    number. Both colengths must be finite.
+    number. Both colengths must be finite. Equal ideals cost one colength.
     """
     if big.ring != small.ring:
         raise RingMismatchError("quotient_length across different rings")
+    if big == small:
+        if big.colength() is INFINITE:
+            raise ComputationError("quotient_length of non-cofinite ideals")
+        return 0
     if not big.contains(small):
         raise ContainmentError(f"quotient_length: {small} is not contained in {big}")
     a = big.colength()
@@ -387,50 +397,53 @@ def _colength_scan(gens: tuple, box: list):
 
 
 class SemigroupIdeal(_PowerCache):
-    """Ideal of a numerical-semigroup ring in (finite part, conductor) form.
+    """Ideal of a numerical-semigroup ring in (mask, conductor) form.
 
-    The zero ideal is (), None. The unit ideal is (), 0. Otherwise the
-    element set is set(fpart) | {s in S : s >= conductor} with conductor
-    minimal for that set.
+    Bit s of the int `mask` is set for each ideal element s below the
+    conductor c, and every semigroup member s >= c lies in the ideal, with c
+    minimal. The zero ideal is (0, None), the unit ideal (0, 0). `fpart` is
+    the sorted tuple of the bits of `mask`.
     """
 
-    __slots__ = ("ring", "fpart", "conductor", "_powers")
+    __slots__ = ("ring", "mask", "conductor", "_powers")
 
     def __init__(self, ring, generators: Iterable, *, _parts=None):
         self.ring = ring
         if _parts is not None:
-            self.fpart, self.conductor = _parts
+            self.mask, self.conductor = _parts
         else:
             gens = sorted({ring.validate_monomial(g) for g in generators})
             if not gens:
-                self.fpart, self.conductor = (), None
+                self.mask, self.conductor = 0, None
             else:
+                # gens[0] + S holds every integer from gens[0] + ring conductor on
                 bound = gens[0] + ring.conductor
-                elems = {
-                    g + s for g in gens for s in ring.members_below(bound - g)
-                }
-                self.fpart, self.conductor = _normal_form(ring, elems, bound)
+                members = ring.member_mask(bound)
+                elems = 0
+                for g in gens:
+                    elems |= members << g
+                self.mask, self.conductor = _mask_parts(ring, elems, bound)
         self._powers: dict[int, "SemigroupIdeal"] = {}
         self._validate()
 
     def _validate(self):
-        ring = self.ring
-        if self.conductor is None:
-            if self.fpart:
+        mask, c = self.mask, self.conductor
+        if c is None:
+            if mask:
                 raise InternalInconsistencyError("zero ideal with finite part")
             return
-        prev = -1
-        for f in self.fpart:
-            if f <= prev or f >= self.conductor or not ring.member(f):
-                raise InternalInconsistencyError(f"bad finite part {self.fpart}")
-            prev = f
-        # closed under adding semigroup generators
-        for f in self.fpart:
-            for a in ring.generators:
-                if not self.contains_element(f + a):
-                    raise InternalInconsistencyError(
-                        f"{self} is not closed under t^{a}"
-                    )
+        members = self.ring.member_mask(c)
+        # finite part inside S and below c, and c one past the last gap
+        if mask & ~members or (members & ~mask).bit_length() != c:
+            raise InternalInconsistencyError(
+                f"bad finite part {_bits(mask)} for conductor {c}"
+            )
+        below = (1 << c) - 1
+        for a in self.ring.generators:
+            if (mask << a) & below & ~mask:
+                raise InternalInconsistencyError(
+                    f"finite part {_bits(mask)} below {c} is not closed under t^{a}"
+                )
 
     # -- value semantics ---------------------------------------------------
 
@@ -442,17 +455,22 @@ class SemigroupIdeal(_PowerCache):
     def is_unit(self) -> bool:
         return self.conductor == 0
 
+    @property
+    def fpart(self) -> tuple:
+        """Sorted ideal elements below the conductor."""
+        return _bits(self.mask)
+
     def __eq__(self, other):
         if not isinstance(other, SemigroupIdeal):
             return NotImplemented
         return (
             self.ring == other.ring
-            and self.fpart == other.fpart
+            and self.mask == other.mask
             and self.conductor == other.conductor
         )
 
     def __hash__(self):
-        return hash((self.ring, self.fpart, self.conductor))
+        return hash((self.ring, self.mask, self.conductor))
 
     def __repr__(self):
         return f"SemigroupIdeal({self.ring!r}, fpart={self.fpart}, conductor={self.conductor})"
@@ -469,21 +487,16 @@ class SemigroupIdeal(_PowerCache):
         if other.ring != self.ring:
             raise RingMismatchError("semigroup ideals from different rings")
 
-    # -- element sets --------------------------------------------------------
+    # -- element masks (nonzero ideals only) ---------------------------------
 
     def full_bound(self) -> int:
-        """A bound B with [B, oo) entirely inside the ideal (nonzero only)."""
+        """A bound B with [B, oo) entirely inside the ideal."""
         return max(self.conductor, self.ring.conductor)
 
-    def elements_below(self, bound: int) -> set:
-        """All ideal elements < bound."""
-        if self.is_zero:
-            return set()
-        out = {f for f in self.fpart if f < bound}
-        out.update(
-            s for s in self.ring.members_below(bound) if s >= self.conductor
-        )
-        return out
+    def _elements(self, bound: int) -> int:
+        """Mask of the ideal elements below bound, for bound >= conductor."""
+        c = self.conductor
+        return self.mask | (self.ring.member_mask(bound) >> c << c)
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -491,58 +504,44 @@ class SemigroupIdeal(_PowerCache):
         self._check(other)
         if self.is_zero or other.is_zero:
             return self.ring.zero_ideal()
-        bound = self.full_bound() + other.full_bound()
-        ea = sorted(self.elements_below(bound))
-        eb = sorted(other.elements_below(bound))
-        sums = set()
-        for a in ea:
-            for b in eb:
-                s = a + b
-                if s >= bound:
-                    break
-                sums.add(s)
-        return _from_elements(self.ring, sums, bound)
+        gens = other.minimal_generators()
+        # the product holds every integer from full_bound + gens[0] on, and
+        # below that s + g needs s < full_bound
+        base = self.full_bound()
+        elems = self._elements(base)
+        prod = 0
+        for g in gens:
+            prod |= elems << g
+        return _from_mask(self.ring, prod, base + gens[0])
 
     def __add__(self, other):
         self._check(other)
-        if self.is_zero:
-            return other
-        if other.is_zero:
-            return self
-        bound = min(self.full_bound(), other.full_bound())
-        return _from_elements(
-            self.ring, self.elements_below(bound) | other.elements_below(bound), bound
-        )
+        if self.is_zero or other.is_zero:
+            return other if self.is_zero else self
+        bound = max(self.conductor, other.conductor)
+        return _from_mask(self.ring, self._elements(bound) | other._elements(bound), bound)
 
     def intersect(self, other):
         self._check(other)
         if self.is_zero or other.is_zero:
             return self.ring.zero_ideal()
-        bound = max(self.full_bound(), other.full_bound())
-        return _from_elements(
-            self.ring, self.elements_below(bound) & other.elements_below(bound), bound
-        )
+        bound = max(self.conductor, other.conductor)
+        return _from_mask(self.ring, self._elements(bound) & other._elements(bound), bound)
 
     def colon(self, other):
+        """(self : other): members s with s + b in self for each generator b."""
         self._check(other)
         if other.is_zero:
             raise InputError("colon by the zero ideal")
         if self.is_zero:
             return self.ring.zero_ideal()
-        ring = self.ring
-        parts = []
-        for b in other.minimal_generators():
-            bound = max(ring.conductor, self.full_bound() - b)
-            elems = {
-                s
-                for s in ring.members_below(bound)
-                if self.contains_element(s + b)
-            }
-            parts.append(_from_elements(ring, elems, bound))
-        out = parts[0]
-        for p in parts[1:]:
-            out = out.intersect(p)
-        return out
+        gens = other.minimal_generators()
+        # from bound on, s + b reaches the conductor for every b
+        bound = max(self.conductor - gens[0], 0)
+        elems = self.ring.member_mask(bound)
+        for b in gens:
+            elems &= self._elements(bound + b) >> b
+        return _from_mask(self.ring, elems, bound)
 
     # -- membership and comparison --------------------------------------
 
@@ -550,7 +549,7 @@ class SemigroupIdeal(_PowerCache):
         v = self.ring.validate_monomial(valuation)
         if self.is_zero:
             return False
-        return v >= self.conductor or v in self.fpart
+        return v >= self.conductor or bool(self.mask >> v & 1)
 
     def contains(self, other) -> bool:
         self._check(other)
@@ -558,45 +557,45 @@ class SemigroupIdeal(_PowerCache):
             return True
         if self.is_zero:
             return False
-        bound = max(self.full_bound(), other.full_bound())
-        return other.elements_below(bound) <= self.elements_below(bound)
+        bound = max(self.conductor, other.conductor)
+        return not other._elements(bound) & ~self._elements(bound)
 
     def minimal_generators(self) -> tuple:
-        """Valuations generating the ideal, none redundant."""
+        """Valuations generating the ideal: the elements of self outside
+        t^a * self for every ring generator a."""
         if self.is_zero:
             return ()
         ring = self.ring
-        bound = self.full_bound() + ring.generators[0]
-        elems = self.elements_below(bound)
-        return tuple(
-            sorted(
-                g
-                for g in elems
-                if not any(g - a in elems for a in ring.generators if g - a >= 0)
-            )
-        )
+        elems = self._elements(self.full_bound() + ring.generators[0])
+        shifted = 0
+        for a in ring.generators:
+            shifted |= elems << a
+        return _bits(elems & ~shifted)
 
     def colength(self):
-        """Length of R/self as a count of missing semigroup members."""
+        """Length of R/self: members below the conductor outside the ideal."""
         if self.is_zero:
             return INFINITE
-        bound = self.full_bound()
-        elems = self.elements_below(bound)
-        return sum(1 for s in self.ring.members_below(bound) if s not in elems)
+        return self.ring.member_mask(self.conductor).bit_count() - self.mask.bit_count()
 
 
-def _normal_form(ring, elems: set, bound: int) -> tuple:
-    """Canonical (fpart, conductor) for the set elems | [bound, oo)."""
-    c = bound
-    s = bound - 1
-    while s >= 0:
-        if ring.member(s) and s not in elems:
-            break
-        c = s
-        s -= 1
-    fpart = tuple(sorted(e for e in elems if e < c))
-    return fpart, c
+def _bits(mask: int) -> tuple:
+    """Positions of the set bits of mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
 
 
-def _from_elements(ring, elems: set, bound: int) -> SemigroupIdeal:
-    return SemigroupIdeal(ring, (), _parts=_normal_form(ring, elems, bound))
+def _mask_parts(ring, elems: int, bound: int) -> tuple:
+    """Canonical (mask, conductor) of the ideal holding every member from
+    bound on and, below bound, the bits of elems (all members): the
+    conductor is one past the last member missing."""
+    c = (ring.member_mask(bound) & ~elems).bit_length()
+    return elems & ((1 << c) - 1), c
+
+
+def _from_mask(ring, elems: int, bound: int) -> SemigroupIdeal:
+    return SemigroupIdeal(ring, (), _parts=_mask_parts(ring, elems, bound))

@@ -103,12 +103,12 @@ class PowerSeriesRing:
 class SemigroupRing:
     """k[[t^a : a in S]] for S = <generators>, gcd(generators) = 1.
 
-    Membership is tabulated once: the table provably covers every integer up
-    to Frobenius + 2*max(a_i) + 1, and anything at or beyond the conductor is
-    a member. dim is always 1.
+    Membership is tabulated once, as the bitmask of the members below the
+    conductor; anything at or beyond the conductor is a member. dim is
+    always 1.
     """
 
-    __slots__ = ("generators", "conductor", "frobenius", "_table", "_zero", "_unit", "_maximal")
+    __slots__ = ("generators", "conductor", "frobenius", "_low_members", "_zero", "_unit", "_maximal")
 
     def __init__(self, *generators: int):
         gens = sorted({int(a) for a in generators})
@@ -140,11 +140,7 @@ class SemigroupRing:
             c -= 1
         self.conductor = c
         self.frobenius = c - 1
-        need = self.frobenius + 2 * amax + 2
-        while len(table) < need:
-            t = len(table)
-            table.append(1 if any(t >= a and table[t - a] for a in gens) else 0)
-        self._table = bytes(table)
+        self._low_members = sum(1 << s for s in range(c) if table[s])
         self._zero = None
         self._unit = None
         self._maximal = None
@@ -170,16 +166,19 @@ class SemigroupRing:
     def member(self, s: int) -> bool:
         if s < 0:
             return False
-        if s >= self.conductor:
-            return True
-        return bool(self._table[s])
+        return s >= self.conductor or bool(self._low_members >> s & 1)
+
+    def member_mask(self, bound: int) -> int:
+        """Bit s set for each semigroup member s in [0, bound)."""
+        c = self.conductor
+        if bound <= c:
+            return self._low_members & ((1 << bound) - 1)
+        return self._low_members | ((1 << bound) - (1 << c))
 
     def members_below(self, bound: int) -> list:
         """Sorted semigroup members in [0, bound)."""
-        n = len(self._table)
-        out = [s for s in range(min(bound, n)) if self._table[s]]
-        out.extend(range(n, bound))
-        return out
+        mask = self.member_mask(bound)
+        return [s for s in range(bound) if mask >> s & 1]
 
     def validate_monomial(self, valuation) -> int:
         if not isinstance(valuation, int) or isinstance(valuation, bool):

@@ -293,6 +293,13 @@ class TestQuotientLength:
         with pytest.raises(ComputationError):
             quotient_length(big, small)
 
+    def test_equal_ideals(self):
+        ring = PowerSeriesRing("x", "y")
+        i = ring.ideal([(3, 0), (2, 1), (0, 3)])
+        assert quotient_length(i, ring.ideal([(0, 3), (2, 1), (3, 0)])) == 0
+        with pytest.raises(ComputationError):
+            quotient_length(ring.ideal([(1, 0)]), ring.ideal([(1, 0)]))
+
     def test_raises_on_ring_mismatch(self):
         r1 = PowerSeriesRing("x", "y")
         r2 = PowerSeriesRing("u", "v")

@@ -10,7 +10,17 @@ from math import gcd
 
 import pytest
 
-from fibrekit import ContainmentError, InputError, SemigroupRing, quotient_length
+from fibrekit import (
+    ComputationError,
+    ContainmentError,
+    FiltrationSpec,
+    InputError,
+    InternalInconsistencyError,
+    SemigroupIdeal,
+    SemigroupRing,
+    analyze,
+    quotient_length,
+)
 
 
 def membership_table(gens, bound):
@@ -151,6 +161,125 @@ class TestOperationsAgainstOracle:
                 expected = all((v + x) in ea for x in eb if v + x < bound)
                 assert quot.contains_element(v) == expected, (a, b, v)
 
+    def test_contains_matches_subset(self):
+        # past both safe bounds every integer is in both ideals, so the
+        # subset test below the bound decides containment
+        rng = random.Random(26)
+        for _ in range(40):
+            ring, gens, *_rest = self.run_case(rng)
+            _a_gens, _b_gens, a, b, ea, eb, bound, _sa = _rest
+            assert a.contains(b) == (eb <= ea), (a, b)
+            assert b.contains(a) == (ea <= eb), (a, b)
+            assert a.contains(a) and a.contains(a * b)
+
+    def test_minimal_generators_match_oracle(self):
+        # an element is a minimal generator iff it is no ideal element plus
+        # a nonzero semigroup member; all of them lie below the safe bound
+        # plus the multiplicity
+        rng = random.Random(27)
+        for _ in range(40):
+            gens = random_semigroup(rng)
+            ring = SemigroupRing(*gens)
+            pool = ring.members_below(40)[1:]
+            i_gens = rng.sample(pool, rng.randint(1, 4))
+            bound = safe_bound(gens, i_gens) + min(gens)
+            table = membership_table(gens, bound)
+            elems = oracle_elements(gens, i_gens, bound)
+            expected = sorted(
+                e
+                for e in elems
+                if not any(x in elems and table[e - x] for x in range(e))
+            )
+            assert ring.ideal(i_gens).minimal_generators() == tuple(expected)
+
+
+class TestEdgeCases:
+    def test_whole_numbers_ring(self):
+        # k[[t]]: conductor 0, every ideal is (t^a) with conductor a
+        ring = SemigroupRing(1)
+        a, b = ring.ideal([3, 7]), ring.ideal([5])
+        assert (a.fpart, a.conductor) == ((), 3)
+        assert a * b == ring.ideal([8])
+        assert a + b == a
+        assert a.intersect(b) == b
+        assert a.colon(b) == ring.unit_ideal()
+        assert b.colon(a) == ring.ideal([2])
+        assert a.contains(b) and not b.contains(a)
+        assert a.colength() == 3
+        assert a.minimal_generators() == (3,)
+        assert ring.maximal_ideal() ** 4 == ring.ideal([4])
+
+    @pytest.mark.parametrize("gens", [(1,), (4, 5, 6, 7), (3, 5)])
+    def test_zero_and_unit_factors(self, gens):
+        ring = SemigroupRing(*gens)
+        zero, unit = ring.zero_ideal(), ring.unit_ideal()
+        i = ring.ideal([gens[-1], 2 * gens[0]])
+        for x in (zero, unit, i):
+            assert zero * x == zero and x * zero == zero
+        for x in (unit, i):
+            assert unit * x == x and x * unit == x
+        assert unit.minimal_generators() == (0,)
+        # zero and unit on either side of a colon
+        assert zero.colon(i) == zero and zero.colon(unit) == zero
+        assert unit.colon(i) == unit and unit.colon(unit) == unit
+        assert i.colon(unit) == i
+        assert i.colon(i) == unit
+        for x in (zero, unit, i):
+            with pytest.raises(InputError):
+                x.colon(zero)
+
+    def test_conductor_below_ring_conductor(self):
+        # in <3, 5> (gaps 1, 2, 4, 7; ring conductor 8), (t^5, t^6) misses
+        # only the members 0 and 3, so its conductor is 4
+        gens = (3, 5)
+        ring = SemigroupRing(*gens)
+        i_gens = [5, 6]
+        i = ring.ideal(i_gens)
+        assert (i.fpart, i.conductor) == ((), 4)
+        assert i.conductor < ring.conductor
+        assert i.colength() == 2
+        bound = safe_bound(gens, i_gens) + 20
+        elems = oracle_elements(gens, i_gens, bound + 5)
+        m = ring.maximal_ideal()
+        square = {x + y for x in elems for y in elems}
+        quot = i.colon(m)
+        for v in ring.members_below(bound):
+            assert i.contains_element(v) == (v in elems)
+            assert (i * i).contains_element(v) == (v in square)
+            # (I : m) = {v : v + 3 and v + 5 in I}
+            assert quot.contains_element(v) == (v + 3 in elems and v + 5 in elems)
+        assert m.contains(i) and not i.contains(m)
+        assert i + ring.ideal([3]) == m
+
+
+class TestHandBuiltParts:
+    def test_canonical_parts_are_accepted(self):
+        ring = SemigroupRing(3, 5)
+        # (t^3) = 3 + S holds 3, 6, 8, 9 and every member from 11 on; the
+        # members 0, 5 and 10 lie outside it
+        i = SemigroupIdeal(ring, (), _parts=(1 << 3 | 1 << 6 | 1 << 8 | 1 << 9, 11))
+        assert i == ring.ideal([3])
+        assert i.fpart == (3, 6, 8, 9)
+
+    @pytest.mark.parametrize(
+        "parts, message",
+        [
+            # {3} and the members from 7 on: 3 + 3 = 6 is missing
+            ((1 << 3, 7), r"not closed under t\^3"),
+            # 4 is a gap of <3, 5>
+            ((1 << 4 | 1 << 3 | 1 << 6, 8), "bad finite part"),
+            # every member from 1 on is inside, so the conductor is 1, not 8
+            ((1 << 3 | 1 << 5 | 1 << 6, 8), "bad finite part"),
+            # a finite-part bit at the conductor
+            ((1 << 8, 8), "bad finite part"),
+            ((1 << 3, None), "zero ideal with finite part"),
+        ],
+    )
+    def test_bad_parts_raise(self, parts, message):
+        ring = SemigroupRing(3, 5)
+        with pytest.raises(InternalInconsistencyError, match=message):
+            SemigroupIdeal(ring, (), _parts=parts)
+
 
 class TestColength:
     def test_colength_counts_ring_members_outside_ideal(self):
@@ -178,6 +307,13 @@ class TestColength:
         ring = SemigroupRing(4, 5, 6, 7)
         assert quotient_length(ring.ideal([4, 5, 6]), ring.ideal([4])) == 2
 
+    def test_quotient_length_of_equal_ideals(self):
+        ring = SemigroupRing(4, 5, 6, 7)
+        i = ring.ideal([4, 5, 6])
+        assert quotient_length(i, ring.ideal([6, 5, 4])) == 0
+        with pytest.raises(ComputationError):
+            quotient_length(ring.zero_ideal(), ring.zero_ideal())
+
     def test_quotient_length_rejects_non_containment(self):
         ring = SemigroupRing(4, 5, 6, 7)
         i = ring.ideal([4, 5, 6])
@@ -199,3 +335,14 @@ class TestValidation:
         i = ring.ideal([4])
         with pytest.raises(InputError):
             i.contains_element(3)
+
+
+class TestLargeSemigroup:
+    def test_analyze_maximal_ideal_31_37(self):
+        # I = m, J = (t^31) in k[[t^31, t^37]]: e_0 is the multiplicity 31
+        # and r = 30 (I^n = t^31 I^(n-1) exactly from n = 31 on)
+        ring = SemigroupRing(31, 37)
+        m = ring.maximal_ideal()
+        report = analyze(FiltrationSpec(m, K=m, J=ring.ideal([31])))
+        assert report.coefficients.e.coefficients[0] == 31
+        assert report.reduction.r == 30

@@ -91,6 +91,14 @@ class TestSemigroupRing:
         assert members[-1] == 499
         assert len(members) == 500 - 4  # gaps are exactly 1, 2, 4, 7
 
+    @pytest.mark.parametrize("gens", [(1,), (3, 5), (4, 5, 6, 7)])
+    def test_member_mask_matches_members_below(self, gens):
+        ring = SemigroupRing(*gens)
+        for bound in range(0, 3 * ring.conductor + 5):
+            mask = ring.member_mask(bound)
+            assert mask < 1 << bound
+            assert [s for s in range(bound) if mask >> s & 1] == ring.members_below(bound)
+
     def test_whole_numbers_semigroup(self):
         ring = SemigroupRing(1)
         assert ring.conductor == 0
