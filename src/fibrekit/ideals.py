@@ -13,30 +13,33 @@ equality of ideals:
 
 Nothing depends on the coefficient field; every operation is lattice or
 semigroup combinatorics over plain integers. Ideals are immutable values.
-The per-instance power cache only grows and holds immutable entries, so
-instances may be shared between threads.
+The per-instance caches (powers, and a semigroup ideal's minimal
+generators) are only filled, with immutable values, so instances may be
+shared between threads.
 
 Semigroup ideals compute on valuation bitmasks: a product ORs one factor's
 mask shifted by each minimal generator of the other, a colon shifts right,
 and a colength is a difference of popcounts (`int.bit_count`, Python 3.10).
 Every construction checks its parts and closure with a shift per generator.
 
-Plane ideals (d = 2) have their own staircase code: containment is one
-merge walk over both generator lists, and colength is read off the
-staircase directly (INFINITE when it does not reach both axes), without
-building the pure-power box. In d >= 3, containment tests every generator
-by divisibility, and colength uses inclusion-exclusion over generator
-subsets for <= 20 generators and a lattice-point scan otherwise. Setting
-the module flag CROSS_CHECK = True makes plane containment re-run the
-divisibility test and makes colength run every applicable route, and
-raises InternalInconsistencyError when the answers differ; tests switch
-it on.
+Monomial ideals compute on staircases. In the plane (d = 2), containment
+is one merge walk over both generator lists, and colength is read off the
+staircase directly (INFINITE when it does not reach both axes). In d >= 3,
+colength, containment and the antichain of minimal generators are slice
+kernels: they sweep the distinct last coordinates upward, keep an active
+antichain of the projections seen so far, and hand each level to the same
+code one dimension down, ending in the plane walk. Setting the module flag
+CROSS_CHECK = True makes containment re-run the divisibility test and makes
+colength also run inclusion-exclusion over generator subsets (for <= 20
+generators) and a lattice-point scan of the pure-power box, and raises
+InternalInconsistencyError when the answers differ; tests switch it on.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from typing import Iterable
 
 from .errors import (
@@ -52,7 +55,7 @@ INFINITE = math.inf
 # When set, contains() and colength() compute every applicable route and compare.
 CROSS_CHECK = False
 
-# Inclusion-exclusion is used only up to this many generators.
+# The inclusion-exclusion cross-check runs only up to this many generators.
 IE_GENERATOR_CAP = 20
 
 
@@ -110,6 +113,9 @@ def _divides(a: tuple, b: tuple) -> bool:
     return all(x <= y for x, y in zip(a, b))
 
 
+_last = operator.itemgetter(-1)
+
+
 def _antichain(cands: Iterable[tuple]) -> tuple:
     """Minimal elements of cands under componentwise <=, sorted."""
     cands = sorted(set(cands))
@@ -125,12 +131,54 @@ def _antichain(cands: Iterable[tuple]) -> tuple:
                 out.append((a, b))
                 best = b
         return tuple(out)
-    cands.sort(key=sum)
+    # d >= 3, level by level in the last coordinate: a candidate is minimal
+    # iff its projection is minimal within its level and lies outside the
+    # ideal of the projections kept on the levels below
     out = []
-    for g in cands:
-        if not any(_divides(h, g) for h in out):
-            out.append(g)
+    active = ()
+    for z, level in itertools.groupby(sorted(cands, key=_last), key=_last):
+        fresh = _outside(active, _antichain(p[:-1] for p in level))
+        if fresh:
+            out.extend(p + (z,) for p in fresh)
+            active = _antichain(active + tuple(fresh))
     return tuple(sorted(out))
+
+
+def _outside(gens: tuple, pts) -> list:
+    """The points of pts, sorted lexicographically, that lie outside the
+    ideal generated by the canonical antichain gens.
+
+    In the plane this is one walk of pts against the staircase height of
+    gens. In d >= 3 the points are swept level by level in the last
+    coordinate: the generators up to the level join an active antichain of
+    projections, and the projections of the level's points are tested
+    against it one dimension down."""
+    if not pts:
+        return []
+    if len(pts[0]) == 2:
+        out = []
+        ia = -1
+        h = INFINITE
+        for x, y in pts:
+            while ia + 1 < len(gens) and gens[ia + 1][0] <= x:
+                ia += 1
+                h = gens[ia][1]
+            if y < h:
+                out.append((x, y))
+        return out
+    gens = sorted(gens, key=_last)
+    out = []
+    active = ()
+    i = 0
+    for z, level in itertools.groupby(sorted(pts, key=_last), key=_last):
+        j = i
+        while j < len(gens) and gens[j][-1] <= z:
+            j += 1
+        if j > i:
+            active = _antichain(active + tuple(g[:-1] for g in gens[i:j]))
+            i = j
+        out.extend(p + (z,) for p in _outside(active, [p[:-1] for p in level]))
+    return out
 
 
 class MonomialIdeal(_PowerCache):
@@ -191,9 +239,7 @@ class MonomialIdeal(_PowerCache):
             }
         else:
             cands = {
-                tuple(a[i] + b[i] for i in range(d))
-                for a in self.gens
-                for b in other.gens
+                tuple(map(operator.add, a, b)) for a in self.gens for b in other.gens
             }
         return MonomialIdeal(self.ring, _antichain(cands), _canonical=True)
 
@@ -211,12 +257,7 @@ class MonomialIdeal(_PowerCache):
             return MonomialIdeal(
                 self.ring, _intersect_plane(self.gens, other.gens), _canonical=True
             )
-        d = self.ring.dim
-        cands = {
-            tuple(max(a[i], b[i]) for i in range(d))
-            for a in self.gens
-            for b in other.gens
-        }
+        cands = {tuple(map(max, a, b)) for a in self.gens for b in other.gens}
         return MonomialIdeal(self.ring, _antichain(cands), _canonical=True)
 
     def colon(self, other):
@@ -250,13 +291,17 @@ class MonomialIdeal(_PowerCache):
 
     def contains(self, other) -> bool:
         self._check(other)
-        if self.ring.dim == 2 and not CROSS_CHECK:
-            return _contains_plane(self.gens, other.gens)
+        if self.ring.dim == 2:
+            walk = _contains_plane(self.gens, other.gens)
+        else:
+            walk = not _outside(self.gens, other.gens)
+        if not CROSS_CHECK:
+            return walk
         scan = all(self.contains_element(g) for g in other.gens)
-        if self.ring.dim == 2 and _contains_plane(self.gens, other.gens) != scan:
+        if walk != scan:
             raise InternalInconsistencyError(
                 f"containment routes disagree on {self} >= {other}: "
-                f"generator scan says {scan}, staircase walk says {not scan}"
+                f"generator scan says {scan}, slice walk says {walk}"
             )
         return scan
 
@@ -286,26 +331,21 @@ class MonomialIdeal(_PowerCache):
         """Length of R/self; INFINITE when self is not cofinite."""
         if self.is_zero:
             return INFINITE
-        if self.ring.dim == 2 and not CROSS_CHECK:
-            return _colength_walk(self.gens)
+        if not CROSS_CHECK:
+            return _colength_slice(self.gens)
+        routes = {"slice": _colength_slice(self.gens)}
         box = self._box()
         if box is None:
-            return INFINITE
-        if CROSS_CHECK:
-            routes = {}
-            if self.ring.dim == 2:
-                routes["staircase"] = _colength_walk(self.gens)
+            routes["box"] = INFINITE
+        else:
             if len(self.gens) <= IE_GENERATOR_CAP:
                 routes["inclusion-exclusion"] = _colength_ie(self.gens, box)
             routes["scan"] = _colength_scan(self.gens, box)
-            if len(set(routes.values())) != 1:
-                raise InternalInconsistencyError(
-                    f"colength routes disagree on {self}: {routes}"
-                )
-            return routes["scan"]
-        if len(self.gens) <= IE_GENERATOR_CAP:
-            return _colength_ie(self.gens, box)
-        return _colength_scan(self.gens, box)
+        if len(set(routes.values())) != 1:
+            raise InternalInconsistencyError(
+                f"colength routes disagree on {self}: {routes}"
+            )
+        return routes["slice"]
 
 
 def _intersect_plane(ga: tuple, gb: tuple) -> tuple:
@@ -352,6 +392,32 @@ def _colength_walk(gens: tuple):
     total = 0
     for i in range(len(gens) - 1):
         total += (gens[i + 1][0] - gens[i][0]) * gens[i][1]
+    return total
+
+
+def _colength_slice(gens: tuple):
+    """Colength by slices (Bigatti 1997): each slab z_k <= z < z_k+1 between
+    consecutive last coordinates adds its width times the (d-1)-colength of
+    the projections of the generators with last coordinate <= z_k. The plane
+    staircase walk is the base case. gens canonical, nonempty."""
+    if len(gens[0]) == 2:
+        return _colength_walk(gens)
+    total = 0
+    active = ()
+    prev = 0
+    for z, level in itertools.groupby(sorted(gens, key=_last), key=_last):
+        if active:
+            sub = _colength_slice(active)
+            if sub is INFINITE:
+                return INFINITE
+            total += (z - prev) * sub
+        elif z:
+            return INFINITE
+        active = _antichain(active + tuple(g[:-1] for g in level))
+        prev = z
+    # the top slab is finite only under a pure power of the last variable
+    if any(active[0]):
+        return INFINITE
     return total
 
 
@@ -405,7 +471,7 @@ class SemigroupIdeal(_PowerCache):
     the sorted tuple of the bits of `mask`.
     """
 
-    __slots__ = ("ring", "mask", "conductor", "_powers")
+    __slots__ = ("ring", "mask", "conductor", "_powers", "_mingens")
 
     def __init__(self, ring, generators: Iterable, *, _parts=None):
         self.ring = ring
@@ -424,6 +490,7 @@ class SemigroupIdeal(_PowerCache):
                     elems |= members << g
                 self.mask, self.conductor = _mask_parts(ring, elems, bound)
         self._powers: dict[int, "SemigroupIdeal"] = {}
+        self._mingens = None
         self._validate()
 
     def _validate(self):
@@ -562,15 +629,18 @@ class SemigroupIdeal(_PowerCache):
 
     def minimal_generators(self) -> tuple:
         """Valuations generating the ideal: the elements of self outside
-        t^a * self for every ring generator a."""
-        if self.is_zero:
-            return ()
-        ring = self.ring
-        elems = self._elements(self.full_bound() + ring.generators[0])
-        shifted = 0
-        for a in ring.generators:
-            shifted |= elems << a
-        return _bits(elems & ~shifted)
+        t^a * self for every ring generator a; computed once per ideal."""
+        if self._mingens is None:
+            if self.is_zero:
+                self._mingens = ()
+            else:
+                ring = self.ring
+                elems = self._elements(self.full_bound() + ring.generators[0])
+                shifted = 0
+                for a in ring.generators:
+                    shifted |= elems << a
+                self._mingens = _bits(elems & ~shifted)
+        return self._mingens
 
     def colength(self):
         """Length of R/self: members below the conductor outside the ideal."""

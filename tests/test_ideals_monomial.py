@@ -5,6 +5,7 @@ routes: membership is re-derived from the divisibility definition, and
 lengths are counted by scanning an explicit bounding box.
 """
 
+import contextlib
 import math
 import random
 
@@ -269,6 +270,146 @@ class TestColength:
     def test_unit_ideal_colength_zero(self):
         ring = PowerSeriesRing("x", "y")
         assert ring.unit_ideal().colength() == 0
+
+
+SPACE_VARIABLES = ("x", "y", "z", "w")
+
+
+def random_space_ideal(rng, dim, cap=4, missing=None):
+    """Random ideal of k[[x_1..x_dim]]: each pure power is drawn with
+    probability 0.8 (never the one of axis `missing`), plus up to five
+    mixed generators, none of which is a pure power of axis `missing`."""
+    gens = set()
+    for axis in range(dim):
+        if axis != missing and rng.random() < 0.8:
+            gens.add(tuple(rng.randint(1, cap) if i == axis else 0 for i in range(dim)))
+    for _ in range(rng.randint(0, 5)):
+        g = tuple(rng.randint(0, cap) for _ in range(dim))
+        if missing is not None and not any(g[i] for i in range(dim) if i != missing):
+            continue
+        gens.add(g)
+    gens.discard((0,) * dim)
+    return PowerSeriesRing(*SPACE_VARIABLES[:dim]).ideal(gens)
+
+
+def brute_minimal(cands):
+    cands = set(cands)
+    return tuple(
+        sorted(g for g in cands if not any(h != g and divides(h, g) for h in cands))
+    )
+
+
+class TestSliceKernels:
+    """The d >= 3 slice colength, antichain and containment against the
+    box-scan and divisibility oracles, in d = 3 and d = 4."""
+
+    @pytest.mark.parametrize("dim, cap", [(3, 5), (4, 3)])
+    def test_colength_against_box_oracle(self, dim, cap):
+        rng = random.Random(40 + dim)
+        for _ in range(80):
+            ideal = random_space_ideal(rng, dim, cap)
+            if ideal.is_zero:
+                continue
+            # axes that carry a pure power: the box oracle needs all of them
+            axes = {i for g in ideal.gens for i in range(dim) if g[i] == sum(g)}
+            expected = oracle_colength(ideal) if len(axes) == dim else INFINITE
+            assert ideal.colength() == expected, ideal.gens
+            with colength_cross_check():
+                assert ideal.colength() == expected, ideal.gens
+
+    @pytest.mark.parametrize("dim", [3, 4])
+    def test_missing_pure_power_is_infinite(self, dim):
+        rng = random.Random(50 + dim)
+        for _ in range(60):
+            missing = rng.randrange(dim)
+            ideal = random_space_ideal(rng, dim, missing=missing)
+            if ideal.is_zero:
+                continue
+            assert ideal.colength() == INFINITE, ideal.gens
+            with colength_cross_check():
+                assert ideal.colength() == INFINITE, ideal.gens
+
+    @pytest.mark.parametrize(
+        "gens",
+        [
+            [(1, 0, 1), (0, 1, 1), (0, 0, 2)],  # no generator on level z = 0
+            [(2, 0, 0), (0, 0, 1)],  # the slab below z = 1 is (x^2): no y-power
+            [(1, 0, 0), (0, 1, 0)],  # the top slab has no power of z
+        ],
+    )
+    def test_each_infinite_exit(self, gens):
+        ideal = PowerSeriesRing("x", "y", "z").ideal(gens)
+        assert ideal.colength() == INFINITE
+        with colength_cross_check():
+            assert ideal.colength() == INFINITE
+
+    @pytest.mark.parametrize("dim", [3, 4])
+    def test_unit_and_zero_ideal(self, dim):
+        ring = PowerSeriesRing(*SPACE_VARIABLES[:dim])
+        unit, zero, m = ring.unit_ideal(), ring.zero_ideal(), ring.maximal_ideal()
+        for check in (contextlib.nullcontext, colength_cross_check):
+            with check():
+                assert unit.colength() == 0
+                assert zero.colength() == INFINITE
+                assert m.colength() == 1
+                assert unit.contains(m) and unit.contains(zero) and unit.contains(unit)
+                assert m.contains(zero) and zero.contains(zero)
+                assert not zero.contains(unit) and not zero.contains(m)
+                assert not m.contains(unit)
+        assert fibrekit.ideals._antichain([]) == ()
+        assert (unit * m) == m and (zero * m) == zero
+        assert unit.intersect(m) == m and m.colon(m) == unit
+
+    @pytest.mark.parametrize("dim", [3, 4])
+    def test_antichain_against_brute_force(self, dim):
+        rng = random.Random(60 + dim)
+        for _ in range(200):
+            cands = [
+                tuple(rng.randint(0, 4) for _ in range(dim))
+                for _ in range(rng.randint(1, 14))
+            ]
+            cands += rng.sample(cands, rng.randint(0, len(cands)))  # duplicates
+            assert fibrekit.ideals._antichain(cands) == brute_minimal(cands), cands
+        ring = PowerSeriesRing(*SPACE_VARIABLES[:dim])
+        for _ in range(30):
+            a = random_space_ideal(rng, dim, cap=3)
+            b = random_space_ideal(rng, dim, cap=3)
+            sums = {tuple(u + v for u, v in zip(g, h)) for g in a.gens for h in b.gens}
+            meets = {tuple(map(max, g, h)) for g in a.gens for h in b.gens}
+            assert (a * b).gens == brute_minimal(sums)
+            assert a.intersect(b).gens == brute_minimal(meets)
+            assert (a + b).gens == brute_minimal(a.gens + b.gens)
+            assert ring.ideal(a.gens + b.gens) == a + b
+
+    @pytest.mark.parametrize("dim", [3, 4])
+    def test_contains_every_ordered_pair(self, dim):
+        rng = random.Random(70 + dim)
+        ring = PowerSeriesRing(*SPACE_VARIABLES[:dim])
+        ideals = [random_space_ideal(rng, dim, cap=3) for _ in range(30)]
+        ideals += [ring.unit_ideal(), ring.zero_ideal(), ring.maximal_ideal()]
+        ideals += [a * b for a, b in zip(ideals[:6], ideals[6:12])]
+        for a in ideals:
+            for b in ideals:
+                expected = all(oracle_member(a, g) for g in b.gens)
+                assert a.contains(b) == expected, (a, b)
+                with colength_cross_check():
+                    assert a.contains(b) == expected, (a, b)
+
+    def test_cross_check_catches_a_wrong_slice(self, monkeypatch):
+        ring = PowerSeriesRing("x", "y", "z")
+        ideal = ring.ideal([(2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 0)])
+        small = ring.ideal([(3, 0, 0), (0, 3, 0), (0, 0, 3)])
+        assert ideal.colength() == 6
+        monkeypatch.setattr(fibrekit.ideals, "_colength_slice", lambda gens: 7)
+        assert ideal.colength() == 7
+        with colength_cross_check():
+            with pytest.raises(InternalInconsistencyError):
+                ideal.colength()
+        monkeypatch.setattr(fibrekit.ideals, "_outside", lambda gens, pts: list(pts))
+        assert ideal.contains(small) is False
+        with colength_cross_check():
+            with pytest.raises(InternalInconsistencyError):
+                ideal.contains(small)
 
 
 class TestQuotientLength:
