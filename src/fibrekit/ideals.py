@@ -22,7 +22,8 @@ mask shifted by each minimal generator of the other, a colon shifts right,
 and a colength is a difference of popcounts (`int.bit_count`, Python 3.10).
 Every construction checks its parts and closure with a shift per generator.
 
-Monomial ideals compute on staircases. In the plane (d = 2), containment
+Monomial ideals compute on staircases. In d = 1 every nonzero ideal is
+(x^a), so each kernel compares exponents. In the plane (d = 2), containment
 is one merge walk over both generator lists, and colength is read off the
 staircase directly (INFINITE when it does not reach both axes). In d >= 3,
 colength, containment and the antichain of minimal generators are slice
@@ -121,6 +122,8 @@ def _antichain(cands: Iterable[tuple]) -> tuple:
     cands = sorted(set(cands))
     if not cands:
         return ()
+    if len(cands[0]) == 1:
+        return (cands[0],)
     if len(cands[0]) == 2:
         # plane case: after lexicographic sort an element is minimal iff its
         # second coordinate beats everything already kept
@@ -145,16 +148,22 @@ def _antichain(cands: Iterable[tuple]) -> tuple:
 
 
 def _outside(gens: tuple, pts) -> list:
-    """The points of pts, sorted lexicographically, that lie outside the
-    ideal generated by the canonical antichain gens.
+    """The points of pts outside the ideal generated by gens, in level order
+    of the last coordinate (lexicographic order in d <= 2).
 
-    In the plane this is one walk of pts against the staircase height of
-    gens. In d >= 3 the points are swept level by level in the last
+    gens is a canonical antichain and pts is sorted lexicographically; every
+    caller passes canonical generators or the projections of one level of
+    them, which keep that order. In d = 1 a point is outside below the one
+    generator. In the plane this is one walk of pts against the staircase
+    height of gens. In d >= 3 the points are swept level by level in the last
     coordinate: the generators up to the level join an active antichain of
     projections, and the projections of the level's points are tested
     against it one dimension down."""
     if not pts:
         return []
+    if len(pts[0]) == 1:
+        bound = gens[0][0] if gens else INFINITE
+        return [p for p in pts if p[0] < bound]
     if len(pts[0]) == 2:
         out = []
         ia = -1
@@ -291,10 +300,7 @@ class MonomialIdeal(_PowerCache):
 
     def contains(self, other) -> bool:
         self._check(other)
-        if self.ring.dim == 2:
-            walk = _contains_plane(self.gens, other.gens)
-        else:
-            walk = not _outside(self.gens, other.gens)
+        walk = not _outside(self.gens, other.gens)
         if not CROSS_CHECK:
             return walk
         scan = all(self.contains_element(g) for g in other.gens)
@@ -370,21 +376,6 @@ def _intersect_plane(ga: tuple, gb: tuple) -> tuple:
     return tuple(out)
 
 
-def _contains_plane(ga: tuple, gb: tuple) -> bool:
-    """Whether the plane monomial ideal generated by ga contains the one
-    generated by gb, both canonical: walking gb left to right against the
-    staircase height of ga, every generator of gb must sit on or above it."""
-    ia = -1
-    h = INFINITE
-    for x, y in gb:
-        while ia + 1 < len(ga) and ga[ia + 1][0] <= x:
-            ia += 1
-            h = ga[ia][1]
-        if y < h:
-            return False
-    return True
-
-
 def _colength_walk(gens: tuple):
     """d = 2 colength by walking the staircase. gens canonical, nonempty."""
     if gens[0][0] != 0 or gens[-1][1] != 0:
@@ -399,7 +390,10 @@ def _colength_slice(gens: tuple):
     """Colength by slices (Bigatti 1997): each slab z_k <= z < z_k+1 between
     consecutive last coordinates adds its width times the (d-1)-colength of
     the projections of the generators with last coordinate <= z_k. The plane
-    staircase walk is the base case. gens canonical, nonempty."""
+    staircase walk is the base case; in d = 1 the colength is the one
+    generator's exponent. gens canonical, nonempty."""
+    if len(gens[0]) == 1:
+        return gens[0][0]
     if len(gens[0]) == 2:
         return _colength_walk(gens)
     total = 0

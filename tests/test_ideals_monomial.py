@@ -206,7 +206,9 @@ class TestPlaneContainment:
         for a in ideals:
             for b in ideals:
                 expected = oracle_contains(a, b)
-                assert fibrekit.ideals._contains_plane(a.gens, b.gens) == expected
+                outside = [g for g in b.gens if not oracle_member(a, g)]
+                assert fibrekit.ideals._outside(a.gens, b.gens) == outside
+                assert (not outside) == expected
                 with colength_cross_check():
                     assert a.contains(b) == expected, (a, b)
 
@@ -224,9 +226,7 @@ class TestPlaneContainment:
         ring = PowerSeriesRing("x", "y")
         big = ring.ideal([(2, 0), (0, 2)])
         small = ring.ideal([(3, 0), (0, 3)])
-        monkeypatch.setattr(
-            fibrekit.ideals, "_contains_plane", lambda ga, gb: False
-        )
+        monkeypatch.setattr(fibrekit.ideals, "_outside", lambda gens, pts: list(pts))
         assert big.contains(small) is False
         with colength_cross_check():
             with pytest.raises(InternalInconsistencyError):
@@ -390,7 +390,9 @@ class TestSliceKernels:
         ideals += [a * b for a, b in zip(ideals[:6], ideals[6:12])]
         for a in ideals:
             for b in ideals:
-                expected = all(oracle_member(a, g) for g in b.gens)
+                outside = [g for g in b.gens if not oracle_member(a, g)]
+                assert sorted(fibrekit.ideals._outside(a.gens, b.gens)) == outside
+                expected = not outside
                 assert a.contains(b) == expected, (a, b)
                 with colength_cross_check():
                     assert a.contains(b) == expected, (a, b)
@@ -410,6 +412,44 @@ class TestSliceKernels:
         with colength_cross_check():
             with pytest.raises(InternalInconsistencyError):
                 ideal.contains(small)
+
+
+class TestOneVariable:
+    """k[[x]]: every ideal is (x^a) or zero, so each kernel is a comparison
+    of exponents."""
+
+    def test_colength_and_canonical_form(self):
+        ring = PowerSeriesRing("x")
+        ideal = ring.ideal([(5,), (3,), (3,)])
+        assert ideal.gens == ((3,),)
+        for check in (contextlib.nullcontext, colength_cross_check):
+            with check():
+                assert ideal.colength() == 3
+                assert ring.maximal_ideal().gens == ((1,),)
+                assert ring.maximal_ideal().colength() == 1
+                assert ring.unit_ideal().colength() == 0
+                assert ring.zero_ideal().colength() == INFINITE
+
+    def test_contains_every_ordered_pair(self):
+        ring = PowerSeriesRing("x")
+        ideals = [ring.ideal([(a,)]) for a in range(5)] + [ring.zero_ideal()]
+        for a in ideals:
+            for b in ideals:
+                expected = all(oracle_member(a, g) for g in b.gens)
+                for check in (contextlib.nullcontext, colength_cross_check):
+                    with check():
+                        assert a.contains(b) == expected, (a, b)
+        assert ring.ideal([(2,)]).contains_element((4,))
+        assert not ring.ideal([(2,)]).contains_element((1,))
+
+    def test_operations(self):
+        ring = PowerSeriesRing("x")
+        x2, x3 = ring.ideal([(2,)]), ring.ideal([(3,)])
+        assert x2 * x3 == ring.ideal([(5,)])
+        assert x2 + x3 == x2 and x2.intersect(x3) == x3
+        assert (x3 * x2).colon(x2) == x3 and x2.colon(x3) == ring.unit_ideal()
+        assert x2**3 == ring.ideal([(6,)])
+        assert quotient_length(x2, ring.ideal([(5,)])) == 3
 
 
 class TestQuotientLength:

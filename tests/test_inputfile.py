@@ -2,7 +2,14 @@
 
 import pytest
 
-from fibrekit import InputError, ParseError, load_spec, parse_input
+from fibrekit import (
+    CriterionStatus,
+    InputError,
+    ParseError,
+    analyze,
+    load_spec,
+    parse_input,
+)
 
 X3_TEXT = """\
 # power-series example
@@ -74,6 +81,17 @@ class TestHappyPaths:
         )
         doc = parse_input(text)
         assert doc.i_gens == [(3, 0), (2, 1), (0, 3)]
+
+    def test_one_variable_power_series_end_to_end(self):
+        text = "ring powerseries x\nI [3]\nJ [3]\nK maximal\n"
+        doc, spec = load_spec(text)
+        assert spec.I.gens == ((3,),) and spec.K == doc.ring.maximal_ideal()
+        report = analyze(spec)
+        assert report.e0 == 3 and report.reduction.r == 0
+        assert report.table.h[:4] == (0, 3, 6, 9)
+        assert report.table.hk[:4] == (1, 4, 7, 10)
+        assert report.coefficients.g.coefficients == (3, -1)
+        assert all(c.status is CriterionStatus.PASS for c in report.criteria)
 
     def test_n_check_directive(self):
         text = "ring powerseries x y\nI [2,0] [0,2]\nn_check 9\n"

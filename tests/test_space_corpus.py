@@ -43,7 +43,9 @@ def test_space_corpus(i_gens):
     started = time.perf_counter()
     report = analyze(FiltrationSpec(ring.ideal(i_gens), J=ring.ideal(j_gens)))
     elapsed = time.perf_counter() - started
-    assert elapsed < 2.0, f"took {elapsed:.2f} s"
+    # well under a second each; the bound only catches a return to the
+    # per-point kernels, which took minutes on the last input
+    assert elapsed < 30.0, f"took {elapsed:.2f} s"
 
     r = brute_reduction_number(i_gens, j_gens)
     assert r > 0
