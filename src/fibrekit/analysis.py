@@ -12,16 +12,16 @@ Conventions, fixed once for the whole package (d = ring dimension):
 Linking identities, asserted whenever all three fits are computed:
 g_0 = e_0 and g_i = e_i - f_{i-1} for 1 <= i <= d.
 
-All arithmetic is exact. Fits solve on the last d+1 (or d) table points;
-the evaluation matrix at consecutive integers is unimodular, so integer
-solutions are guaranteed whenever the data is polynomial there.
+All arithmetic is exact and in integers: a fit reads the polynomial through
+the last d+1 (or d) table points off their backward differences by Newton's
+formula (Bruns-Herzog, Cohen-Macaulay Rings, 4.1), which never divides.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from enum import Enum
-from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from .errors import (
@@ -84,22 +84,21 @@ class CoefficientSet(NamedTuple):
         return f"{self.label} = {self.coefficients} (exact from n = {self.postulation})"
 
 
-def _solve_exact(rows: list, rhs: list) -> list:
-    """Gaussian elimination over Fraction; raises on a singular system."""
-    k = len(rows)
-    aug = [[Fraction(x) for x in row] + [Fraction(y)] for row, y in zip(rows, rhs)]
-    for col in range(k):
-        pivot = next((r for r in range(col, k) if aug[r][col] != 0), None)
-        if pivot is None:
-            raise InternalInconsistencyError("singular fit system (basis misuse)")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = aug[col][col]
-        aug[col] = [x / inv for x in aug[col]]
-        for r in range(k):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    return [aug[r][k] for r in range(k)]
+def _newton_coefficients(tail: Sequence[int], n_max: int) -> tuple:
+    """Coefficients of the polynomial through tail = values[n_max-deg..n_max].
+
+    With nabla[k] the k-th backward difference at n_max, Newton's backward
+    formula read at n = 0 gives c_j = (-1)^j sum_{l<=j} (-1)^l C(n_max, l) nabla[deg-j+l].
+    """
+    nabla = []
+    while tail:
+        nabla.append(tail[-1])
+        tail = [b - a for a, b in zip(tail, tail[1:])]
+    deg = len(nabla) - 1
+    return tuple(
+        (-1) ** j * sum((-1) ** l * math.comb(n_max, l) * nabla[deg - j + l] for l in range(j + 1))
+        for j in range(deg + 1)
+    )
 
 
 def fit_coefficients(
@@ -110,17 +109,21 @@ def fit_coefficients(
     window: int | None = None,
     label: str = "",
 ) -> CoefficientSet:
-    """Fit the alternating binomial polynomial to values[0..n_max] exactly.
+    """Read the alternating binomial polynomial off values[0..n_max] exactly.
 
-    Solves on the last d+1 (STANDARD) or d (FIBER) points, then locates the
-    postulation index n0 = least n from which the polynomial reproduces the
-    sequence through n_max. Requires the matching run to be at least
-    fit-size + window points (window defaults to d+2); anything shorter is
-    NOT_YET_POLYNOMIAL, with the remedy (raise n_max) in the message.
+    The polynomial of degree deg = d (STANDARD) or d-1 (FIBER) through the
+    last deg+1 points is read off in integers (`_newton_coefficients`) and
+    checked against the table at n_max-deg and n_max. The postulation index
+    n0 = least n from which it reproduces the sequence through n_max is
+    found walking down: n0-1 matches too iff the (deg+1)-th difference of the
+    sequence over n0-1..n0+deg is 0. Requires the matching run to be at
+    least fit-size + window points (window defaults to d+2); anything
+    shorter is NOT_YET_POLYNOMIAL, with the remedy (raise n_max) in the message.
     """
     if window is None:
         window = dim + 2
-    ncoef = dim + 1 if basis is Basis.STANDARD else dim
+    deg = dim if basis is Basis.STANDARD else dim - 1
+    ncoef = deg + 1
     n_max = len(values) - 1
     if n_max + 1 < ncoef + window:
         raise NotYetPolynomialError(
@@ -128,35 +131,27 @@ def fit_coefficients(
             f"{'E/G' if basis is Basis.STANDARD else 'F'} fit, got {n_max + 1}; "
             "raise n_max"
         )
-    points = range(n_max - ncoef + 1, n_max + 1)
-    rows = [basis_row(dim, basis, n) for n in points]
-    sol = _solve_exact(rows, [values[n] for n in points])
-    for c in sol:
-        if c.denominator != 1:
-            raise InternalInconsistencyError(
-                "non-integer coefficient from a unimodular fit system"
-            )
+    weights = [(-1) ** i * math.comb(ncoef, i) for i in range(ncoef + 1)]
+    n0 = n_max - deg
+    while n0 > 0 and not sum(map(operator.mul, weights, values[n0 - 1:n0 + ncoef])):
+        n0 -= 1
     fitted = CoefficientSet(
-        label=label,
-        dim=dim,
-        basis=basis,
-        coefficients=tuple(int(c) for c in sol),
-        postulation=0,
-        n_max=n_max,
-        window=window,
+        label=label, dim=dim, basis=basis, postulation=n0, n_max=n_max, window=window,
+        coefficients=_newton_coefficients(values[n_max - deg:], n_max),
     )
-    n0 = n_max + 1
-    for n in range(n_max, -1, -1):
+    for n in (n_max - deg, n_max):
         if fitted.value(n) != values[n]:
-            break
-        n0 = n
+            raise InternalInconsistencyError(
+                f"integer read-off misses the table at n = {n}: "
+                f"{fitted.value(n)} != {values[n]}"
+            )
     if n_max - n0 + 1 < ncoef + window:
         raise NotYetPolynomialError(
             f"Hilbert data stabilizes only at n = {n0} with n_max = {n_max}: "
             f"not enough validated points ({n_max - n0 + 1} < {ncoef + window}); "
             "raise n_max"
         )
-    return fitted._replace(postulation=n0)
+    return fitted
 
 
 class CoefficientReport(NamedTuple):

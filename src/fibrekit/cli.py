@@ -127,8 +127,8 @@ def _cmd_reduction(args) -> int:
 def _cmd_check(args) -> int:
     spec, n_max, n_check, _ = _load(args.file, args)
     if args.target == "depth-g":
-        table, coefficients = fit_tables(spec, n_max)
         data = reduction_number(spec)
+        table, coefficients = fit_tables(spec, n_max, reduction=data)
         gd = classify_graded_depth(spec, coefficients.e1, data.r)
         out = [
             f"graded depth: {gd.classification.value}",

@@ -15,6 +15,7 @@ for a non-Cohen-Macaulay fiber cone when the depth hypothesis fails.
 
 from __future__ import annotations
 
+from contextlib import suppress
 from enum import Enum
 from typing import NamedTuple
 
@@ -30,6 +31,7 @@ from .analysis import (
 )
 from .errors import (
     InputError,
+    NotAReductionError,
     NotYetPolynomialError,
     TheoremViolationError,
 )
@@ -421,29 +423,33 @@ def check_minimal_multiplicity_equivalences(
 FIT_RETRIES = 3
 
 
-def fit_tables(spec: FiltrationSpec, n_max: int | None, *, start: int | None = None):
+def fit_tables(
+    spec: FiltrationSpec, n_max: int | None, *, reduction: ReductionData | None = None
+):
     """Build the length table and fit all three coefficient sets.
 
-    When n_max is not pinned by the caller, a too-short table is retried
-    (up to FIT_RETRIES times) with a longer one, starting from `start` when
-    given; a pinned n_max fails fast with the advisory error.
+    When n_max is not pinned, the table runs to n = r + 2d + 5, r the reduction
+    number of J (`reduction.r`, else computed; 0 without a J or when J is no
+    reduction, which the fit does not need), and a too-short table is retried
+    FIT_RETRIES times, longer each time; a pinned n_max fails fast.
     """
     auto = n_max is None
     dim = spec.dim
     if auto:
-        nm = start if start is not None else 2 * dim + 5
-    else:
-        nm = n_max
+        if reduction is None and spec.J is not None:
+            with suppress(NotAReductionError):
+                reduction = reduction_number(spec)
+        n_max = (0 if reduction is None else reduction.r) + 2 * dim + 5
     attempt = 0
     while True:
-        table = build_table(spec, nm)
+        table = build_table(spec, n_max)
         try:
             return table, coefficient_report(table, dim)
         except NotYetPolynomialError:
             if not auto or attempt >= FIT_RETRIES:
                 raise
             attempt += 1
-            nm += 2 * dim + 3
+            n_max += 2 * dim + 3
 
 
 def analyze(
@@ -468,9 +474,7 @@ def analyze(
         )
     if n_max is None:
         n_max = spec.n_max
-    table, coefficients = fit_tables(
-        spec, n_max, start=reduction.r + 2 * spec.dim + 5
-    )
+    table, coefficients = fit_tables(spec, n_max, reduction=reduction)
     if n_check is None:
         n_check = spec.n_check if spec.n_check is not None else max(reduction.r + 2, 6)
 

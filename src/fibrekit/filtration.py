@@ -13,8 +13,8 @@ J) and validates the defining hypotheses up front:
   higher indices).
 
 Terms, K-terms, J-terms and K J-terms are cached on the spec.
-build_table evaluates H(n) = len(R/I_n), H_K(n) = len(R/K I_n),
-H_F(n) = len(I_n/K I_n) and checks H_K = H + H_F pointwise.
+build_table evaluates H(n) = len(R/I_n), H_K(n) = len(R/K I_n) and
+H_F(n) = len(I_n/K I_n) = H_K(n) - H(n), after checking K I_n <= I_n.
 
 The spec also keeps the length ledger: every length the criteria, the
 identities and the depth classifier compare, computed once per degree and

@@ -1,7 +1,10 @@
 """Coefficient fitting, length identities, and the fiber Hilbert series."""
 
+import random
+
 import pytest
 
+import fibrekit.analysis
 from fibrekit import (
     Basis,
     HilbertSeries,
@@ -21,7 +24,21 @@ from fibrekit import (
     g1_from_lengths_dim1,
     v_sequence,
 )
+from fibrekit.analysis import basis_row
 from conftest import make_sg_spec, make_x3_spec
+
+
+def oracle_value(coeffs, dim, basis, n):
+    """The polynomial with these coefficients at n, straight from basis_row."""
+    return sum(c * r for c, r in zip(coeffs, basis_row(dim, basis, n)))
+
+
+def oracle_postulation(coeffs, dim, basis, values):
+    """Least n0 with oracle_value(n) == values[n] for n0 <= n <= n_max."""
+    n0 = len(values)
+    while n0 > 0 and oracle_value(coeffs, dim, basis, n0 - 1) == values[n0 - 1]:
+        n0 -= 1
+    return n0
 
 
 class TestBinomial:
@@ -43,12 +60,7 @@ class TestBinomial:
 
 class TestFitCoefficients:
     def poly_values(self, coeffs, dim, basis, n_top):
-        from fibrekit.analysis import basis_row
-
-        return [
-            sum(c * r for c, r in zip(coeffs, basis_row(dim, basis, n)))
-            for n in range(n_top + 1)
-        ]
+        return [oracle_value(coeffs, dim, basis, n) for n in range(n_top + 1)]
 
     def test_recovers_standard_basis_dim2(self):
         values = self.poly_values((9, 3, 1), 2, Basis.STANDARD, 9)
@@ -90,6 +102,57 @@ class TestFitCoefficients:
         with pytest.raises(NotYetPolynomialError) as err:
             fit_coefficients(values, 2, Basis.STANDARD)
         assert "raise n_max" in str(err.value)
+
+    def test_random_polynomials_against_basis_row_oracle(self):
+        rng = random.Random(901)
+        fitted = too_short = 0
+        for trial in range(600):
+            dim = rng.randint(1, 4)
+            basis = rng.choice((Basis.STANDARD, Basis.FIBER))
+            deg = dim if basis is Basis.STANDARD else dim - 1
+            coeffs = tuple(rng.randint(-60, 60) for _ in range(deg + 1))
+            n_max = rng.randint(2 * dim + 3, 40)
+            # the true polynomial holds at least on the last deg+1 points, so
+            # it is the one read off; the prefix before p is perturbed
+            p = rng.randint(0, n_max - deg)
+            values = [
+                oracle_value(coeffs, dim, basis, n) + (rng.randint(-3, 3) if n < p else 0)
+                for n in range(n_max + 1)
+            ]
+            if trial % 2:
+                values = tuple(values)
+            n0 = oracle_postulation(coeffs, dim, basis, values)
+            assert n0 <= p
+            if n_max - n0 + 1 < deg + 1 + dim + 2:
+                too_short += 1
+                with pytest.raises(NotYetPolynomialError, match="stabilizes only at"):
+                    fit_coefficients(values, dim, basis)
+                continue
+            fitted += 1
+            fit = fit_coefficients(values, dim, basis, label="E")
+            assert fit.coefficients == coeffs, (dim, basis, values)
+            assert fit.postulation == n0, (dim, basis, values)
+            assert (fit.n_max, fit.window, fit.dim, fit.basis) == (n_max, dim + 2, dim, basis)
+        assert fitted > 300 and too_short > 30
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("basis", [Basis.STANDARD, Basis.FIBER])
+    def test_wrong_read_off_is_an_internal_error(self, monkeypatch, dim, basis):
+        deg = dim if basis is Basis.STANDARD else dim - 1
+        coeffs = tuple(range(3, 3 + deg + 1))
+        values = self.poly_values(coeffs, dim, basis, 3 * dim + 6)
+        true_read_off = fibrekit.analysis._newton_coefficients
+        assert fit_coefficients(values, dim, basis).coefficients == coeffs
+        for j in range(deg + 1):
+
+            def wrong(tail, n_max, j=j):
+                c = list(true_read_off(tail, n_max))
+                c[j] += 1
+                return tuple(c)
+
+            monkeypatch.setattr(fibrekit.analysis, "_newton_coefficients", wrong)
+            with pytest.raises(InternalInconsistencyError, match="read-off"):
+                fit_coefficients(values, dim, basis)
 
 
 class TestCoefficientReport:

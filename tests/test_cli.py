@@ -137,6 +137,28 @@ class TestSmallCommands:
             "NEGATIVE COEFFICIENT: fiber cone is not Cohen-Macaulay",
         ]
 
+    def test_auto_table_starts_past_the_reduction_number(self, tmp_path, capsys):
+        # r = 22 here: a table sized 2d + 5 = 7 (retried to 22) stops too early
+        path = tmp_path / "ab.fk"
+        path.write_text("ring semigroup 23 24\nI 23 24\nJ 23\nK maximal\n")
+        code, out, err = run(capsys, "analyze", str(path), "--format", "tree")
+        assert (code, err) == (0, "")
+        fitted = json.loads(out)["coefficients"]
+        code, out, err = run(capsys, "coeffs", str(path))
+        assert (code, err) == (0, "")
+        postulation = fitted["postulation"]
+        assert out.splitlines() == [
+            f"{label} = ({', '.join(map(str, fitted[label]))})  "
+            f"exact from n = {postulation[label]}  (table through n = 29)"
+            for label in "egf"
+        ]
+        code, out, err = run(capsys, "series", str(path))
+        assert (code, err) == (0, "")
+        assert out.startswith("fiber series: (1 + t + t^2")
+        code, out, err = run(capsys, "check", "depth-g", str(path))
+        assert (code, err) == (0, "")
+        assert out.splitlines()[0] == "graded depth: cohen-macaulay"
+
     def test_reduction(self, tmp_path, capsys):
         path = write_fixture(tmp_path, X3)
         code, out, _ = run(capsys, "reduction", str(path))

@@ -9,13 +9,16 @@ from fibrekit import (
     FiltrationSpec,
     InputError,
     MissingReductionError,
+    NotYetPolynomialError,
     PowerSeriesRing,
     SemigroupRing,
     analyze,
     fiber_regular_sequence_check,
+    fit_tables,
     probe_fiber_regular,
     probe_fiber_superficial,
     quotient_length,
+    reduction_number,
 )
 from conftest import make_sg_spec, make_x3_spec, make_x4_spec
 
@@ -40,6 +43,36 @@ class TestAnalyzeValidation:
         assert x3_report.criterion("fiber-depth").name == "fiber-depth"
         with pytest.raises(KeyError):
             x3_report.criterion("no-such-criterion")
+
+
+class TestFitTables:
+    """The automatic table runs to n = r + 2d + 5; a pinned n_max binds."""
+
+    def test_start_follows_the_reduction_number(self):
+        ring = SemigroupRing(23, 24)
+        i = ring.ideal([23, 24])
+        spec = FiltrationSpec(i, J=ring.ideal([23]))
+        assert reduction_number(spec).r == 22
+        table, report = fit_tables(spec, None)
+        assert table.n_max == 22 + 2 + 5
+        assert report.e.coefficients == (23, 253)
+        assert fit_tables(spec, None, reduction=reduction_number(spec))[0] == table
+        # without a J r counts as 0
+        table, _ = fit_tables(FiltrationSpec(ring.ideal([23])), None)
+        assert table.n_max == 0 + 2 + 5
+
+    def test_no_reduction_falls_back_to_zero(self):
+        spec = make_x3_spec()
+        no_reduction = FiltrationSpec(spec.I, J=spec.ring.ideal([(3, 0), (2, 1)]))
+        table, report = fit_tables(no_reduction, None)
+        assert table.n_max == 0 + 2 * 2 + 5
+        assert report.e.coefficients == (9, 3, 1)
+
+    def test_pinned_n_max_binds(self):
+        ring = SemigroupRing(23, 24)
+        spec = FiltrationSpec(ring.ideal([23, 24]), J=ring.ideal([23]))
+        with pytest.raises(NotYetPolynomialError, match="n_max = 22"):
+            fit_tables(spec, 22)
 
 
 class TestX3Criteria:

@@ -1,10 +1,16 @@
 """Report rendering: JSON tree shape, determinism, and the text layout."""
 
 import json
+from pathlib import Path
 
-from fibrekit import FiltrationSpec, analyze
+import pytest
+
+from fibrekit import FiltrationSpec, analyze, load_spec
+from fibrekit.cli import _SELFTEST_FIXTURES
 from fibrekit.reporting import as_dict, render_text, render_tree, spec_as_dict
-from conftest import make_sg_spec, make_x3_spec, plane_ring
+from conftest import fixture_text, make_sg_spec, make_x3_spec, plane_ring
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 class TestAsDict:
@@ -210,3 +216,17 @@ class TestRenderText:
             "min mult        K I = K J: True; g_1 = -len(R/K): True; "
             "classic: True; g_1 = -1: True"
         ) in text
+
+
+class TestGoldenReports:
+    """The JSON report of each packaged fixture, byte for byte as committed
+    in tests/golden/<name>.json. A deliberate change to the report
+    regenerates them with `fibrekit analyze src/fibrekit/fixtures/<name>.fk
+    --report tests/golden/<name>.json`."""
+
+    @pytest.mark.parametrize("name", _SELFTEST_FIXTURES)
+    def test_report_is_byte_identical_to_golden(self, name):
+        _, spec = load_spec(fixture_text(name))
+        tree = render_tree(analyze(spec)) + "\n"
+        golden = (GOLDEN / name.replace(".fk", ".json")).read_bytes()
+        assert tree.encode("utf-8") == golden
