@@ -34,6 +34,7 @@ from .errors import (
     NotAReductionError,
     NotYetPolynomialError,
     TheoremViolationError,
+    UndeterminedReductionError,
 )
 from .filtration import FiltrationSpec, HilbertTable, build_table, sum_window
 from .reductions import (
@@ -429,15 +430,15 @@ def fit_tables(
     """Build the length table and fit all three coefficient sets.
 
     When n_max is not pinned, the table runs to n = r + 2d + 5, r the reduction
-    number of J (`reduction.r`, else computed; 0 without a J or when J is no
-    reduction, which the fit does not need), and a too-short table is retried
-    FIT_RETRIES times, longer each time; a pinned n_max fails fast.
+    number of J (`reduction.r`, else computed; 0 without a J or unless J is
+    certified a reduction: the fit does not need J), and a too-short table is
+    retried FIT_RETRIES times, longer each time; a pinned n_max fails fast.
     """
     auto = n_max is None
     dim = spec.dim
     if auto:
         if reduction is None and spec.J is not None:
-            with suppress(NotAReductionError):
+            with suppress(NotAReductionError, UndeterminedReductionError):
                 reduction = reduction_number(spec)
         n_max = (0 if reduction is None else reduction.r) + 2 * dim + 5
     attempt = 0
@@ -457,21 +458,20 @@ def analyze(
     *,
     n_max: int | None = None,
     n_check: int | None = None,
-    search_bound: int = 50,
 ) -> AnalysisReport:
     """Run the complete pipeline and return an immutable report.
 
-    Order: certify the reduction, build the length table, fit coefficients,
-    verify the dimension-specific identities, compute the fiber series,
-    classify graded depth, then evaluate every applicable criterion.
+    Order: check mu(J) = dim (such a J is never undetermined), certify the
+    reduction, build the length table, fit coefficients, verify the identities,
+    compute the fiber series, classify graded depth, evaluate the criteria.
     """
-    j = spec.require_j()
-    reduction = reduction_number(spec, bound=search_bound)
-    if not reduction.is_minimal:
+    mu = len(spec.require_j().minimal_generators())
+    if mu != spec.dim:
         raise InputError(
-            f"the checks need a minimal reduction: J has {reduction.mu} "
+            f"the checks need a minimal reduction: J has {mu} "
             f"minimal generators, the ring dimension is {spec.dim}"
         )
+    reduction = reduction_number(spec)
     if n_max is None:
         n_max = spec.n_max
     table, coefficients = fit_tables(spec, n_max, reduction=reduction)

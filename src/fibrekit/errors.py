@@ -62,7 +62,11 @@ class NotYetPolynomialError(ComputationError):
 
 
 class NotAReductionError(ComputationError):
-    """No r <= bound satisfies I_{n+1} = J * I_n from n = r on."""
+    """J is certified not a reduction: no r has I_{n+1} = J * I_n from n = r on."""
+
+
+class UndeterminedReductionError(ComputationError):
+    """The rule read off the ideals cannot decide whether J is a reduction."""
 
 
 class UndeterminedSumError(ComputationError):

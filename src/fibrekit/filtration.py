@@ -106,6 +106,13 @@ class FiltrationSpec:
         self.J = J
         self.n_max = n_max
         self.n_check = n_check
+        self._terms = {0: ring.unit_ideal(), 1: I}
+        self._kterms: dict = {}
+        self._jterms: dict = {}
+        self._kjterms: dict = {}
+        self._kj = None
+        self._lengths: dict = {}
+        self._sums: dict = {}
 
         if I.is_zero or I.is_unit:
             raise InputError("the filtration needs a proper nonzero ideal I_1")
@@ -139,6 +146,7 @@ class FiltrationSpec:
                 if t.is_zero:
                     raise InputError("filtration terms must be nonzero")
             self.explicit = terms
+            self._terms.update(enumerate(terms, 1))
             N = len(terms)
             for n in range(1, N):
                 if not terms[n - 1].contains(terms[n]):
@@ -148,60 +156,26 @@ class FiltrationSpec:
                         f"I_{n + 1} is not contained in K*I_{n}: "
                         "(K, F) is not a Hilbert filtration pair"
                     )
+            # past the explicit range term() continues by the recursion
             for a in range(1, N + 1):
                 for b in range(a, N + 1):
-                    target = terms[b + a - 1] if b + a <= N else None
-                    prod = terms[a - 1] * terms[b - 1]
-                    if target is None:
-                        # recursion takes over past the explicit range
-                        target = self._extend(terms, a + b)
-                    if not target.contains(prod):
+                    if not self.term(a + b).contains(terms[a - 1] * terms[b - 1]):
                         raise InputError(
                             f"I_{a} * I_{b} is not contained in I_{a + b}: not a filtration"
                         )
-
-        self._terms = {0: ring.unit_ideal(), 1: I}
-        self._kterms: dict = {}
-        self._jterms: dict = {}
-        self._kjterms: dict = {}
-        self._kj = None
-        self._lengths: dict = {}
-        self._sums: dict = {}
-
-    @staticmethod
-    def _extend(terms, n):
-        acc = terms[-1]
-        for _ in range(n - len(terms)):
-            acc = terms[0] * acc
-        return acc
 
     @property
     def dim(self) -> int:
         return self.ring.dim
 
     def term(self, n: int):
-        """I_n (I_0 = R)."""
+        """I_n (I_0 = R), built as I_n = I_{n-1} I_1 past the explicit terms."""
         if n < 0:
             raise InputError("filtration terms are indexed by n >= 0")
-        got = self._terms.get(n)
-        if got is not None:
-            return got
-        if self.mode == "adic":
-            t = self.I ** n
-        else:
-            N = len(self.explicit)
-            if n <= N:
-                t = self.explicit[n - 1]
-            else:
-                t = self.term(N)
-                for i in range(N + 1, n + 1):
-                    nxt = self._terms.get(i)
-                    if nxt is None:
-                        nxt = self.I * t
-                        self._terms[i] = nxt
-                    t = nxt
-        self._terms[n] = t
-        return t
+        terms = self._terms
+        for i in range(len(terms), n + 1):
+            terms[i] = terms[i - 1] * self.I
+        return terms[n]
 
     def kterm(self, n: int):
         """K * I_n."""

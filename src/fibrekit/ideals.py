@@ -13,9 +13,8 @@ equality of ideals:
 
 Nothing depends on the coefficient field; every operation is lattice or
 semigroup combinatorics over plain integers. Ideals are immutable values.
-The per-instance caches (powers, and a semigroup ideal's minimal
-generators) are only filled, with immutable values, so instances may be
-shared between threads.
+A semigroup ideal's minimal generators are cached on first use, an
+immutable value, so instances may be shared between threads.
 
 Semigroup ideals compute on valuation bitmasks: a product ORs one factor's
 mask shifted by each minimal generator of the other, a colon shifts right,
@@ -81,28 +80,17 @@ def quotient_length(big, small) -> int:
     return b - a
 
 
-class _PowerCache:
-    """Mixin providing A ** n with an iterated-multiply cache."""
+class _Power:
+    """Mixin providing A ** n by repeated multiplication."""
 
     def __pow__(self, n: int):
         if not isinstance(n, int):
             return NotImplemented
         if n < 0:
             raise ValueError("ideal powers need n >= 0")
-        if n == 0:
-            return self.ring.unit_ideal()
-        if n == 1:
-            return self
-        cache = self._powers
-        got = cache.get(n)
-        if got is not None:
-            return got
-        k = max(i for i in cache) if cache else 1
-        acc = cache[k] if cache else self
-        while k < n:
+        acc = self if n else self.ring.unit_ideal()
+        for _ in range(n - 1):
             acc = acc * self
-            k += 1
-            cache[k] = acc
         return acc
 
 
@@ -190,10 +178,10 @@ def _outside(gens: tuple, pts) -> list:
     return out
 
 
-class MonomialIdeal(_PowerCache):
+class MonomialIdeal(_Power):
     """Monomial ideal of a power-series ring, canonical antichain form."""
 
-    __slots__ = ("ring", "gens", "_powers")
+    __slots__ = ("ring", "gens")
 
     def __init__(self, ring, gens: Iterable, *, _canonical: bool = False):
         self.ring = ring
@@ -201,7 +189,6 @@ class MonomialIdeal(_PowerCache):
             self.gens = tuple(gens)
         else:
             self.gens = _antichain(ring.validate_monomial(g) for g in gens)
-        self._powers: dict[int, "MonomialIdeal"] = {}
 
     # -- value semantics ---------------------------------------------------
 
@@ -313,6 +300,23 @@ class MonomialIdeal(_PowerCache):
 
     def minimal_generators(self) -> tuple:
         return self.gens
+
+    def is_reduction_of(self, big) -> bool | None:
+        """Is self, inside the m-primary ideal big, a reduction of it? None
+        when undecided. By the Newton polyhedron (Huneke-Swanson, ch. 1),
+        with pure powers x_i^a_i in self and L = lcm(a_i): yes when each
+        generator u of big is in self or has sum u_i L/a_i >= L; no when self
+        lacks a pure power or consists of exactly those pure powers."""
+        self._check(big)
+        a = self._box()
+        if a is None:
+            return False
+        lcm = math.lcm(*a)
+        w = [lcm // e for e in a]
+        rest = _outside(self.gens, big.gens)
+        if all(sum(map(operator.mul, u, w)) >= lcm for u in rest):
+            return True
+        return False if len(self.gens) == len(a) else None
 
     # -- colength -----------------------------------------------------------
 
@@ -456,7 +460,7 @@ def _colength_scan(gens: tuple, box: list):
 # semigroup model
 
 
-class SemigroupIdeal(_PowerCache):
+class SemigroupIdeal(_Power):
     """Ideal of a numerical-semigroup ring in (mask, conductor) form.
 
     Bit s of the int `mask` is set for each ideal element s below the
@@ -465,7 +469,7 @@ class SemigroupIdeal(_PowerCache):
     the sorted tuple of the bits of `mask`.
     """
 
-    __slots__ = ("ring", "mask", "conductor", "_powers", "_mingens")
+    __slots__ = ("ring", "mask", "conductor", "_mingens")
 
     def __init__(self, ring, generators: Iterable, *, _parts=None):
         self.ring = ring
@@ -483,7 +487,6 @@ class SemigroupIdeal(_PowerCache):
                 for g in gens:
                     elems |= members << g
                 self.mask, self.conductor = _mask_parts(ring, elems, bound)
-        self._powers: dict[int, "SemigroupIdeal"] = {}
         self._mingens = None
         self._validate()
 
@@ -635,6 +638,12 @@ class SemigroupIdeal(_PowerCache):
                     shifted |= elems << a
                 self._mingens = _bits(elems & ~shifted)
         return self._mingens
+
+    def is_reduction_of(self, big) -> bool:
+        """Is self, inside big, a reduction of it? The integral closure of I in
+        k[[S]] is every f with v(f) >= v(I): yes iff both have the same least v."""
+        self._check(big)
+        return self.minimal_generators()[0] == big.minimal_generators()[0]
 
     def colength(self):
         """Length of R/self: members below the conductor outside the ideal."""

@@ -2,8 +2,8 @@
 
 Everything here is a finite, certified check:
 
-* the reduction number search proves its answer (the recursive definition
-  of the filtration propagates the stabilization step forward);
+* whether J is a reduction is read off the ideals, and the reduction number
+  search proves its r (the filtration's recursion pushes each step forward);
 * element probes test degree-one elements of the fiber cone for
   regularity / superficiality over an explicit window of degrees;
 * the depth classifier compares e_1 against the two partial-length sums
@@ -12,10 +12,16 @@ Everything here is a finite, certified check:
 
 from __future__ import annotations
 
+import itertools
 from enum import Enum
 from typing import NamedTuple
 
-from .errors import InputError, NotAReductionError, TheoremViolationError
+from .errors import (
+    InputError,
+    NotAReductionError,
+    TheoremViolationError,
+    UndeterminedReductionError,
+)
 from .filtration import FiltrationSpec
 
 
@@ -32,36 +38,36 @@ class ReductionData(NamedTuple):
         return f"{kind}reduction with r = {self.r} (mu = {self.mu})"
 
 
-def reduction_number(spec: FiltrationSpec, *, bound: int = 50) -> ReductionData:
-    """Least r with J I_n = I_{n+1} for all n >= r, or NOT_A_REDUCTION.
+def reduction_number(spec: FiltrationSpec) -> ReductionData:
+    """Least r with J I_n = I_{n+1} for all n >= r.
 
-    Only finitely many degrees need inspection: past the last explicitly
-    given filtration term the recursion I_{n+1} = I_1 I_n holds, and there
-    a single verified step J I_m = I_{m+1} pushes forward to every higher
-    degree (J I_{m+1} = J I_1 I_m = I_1 (J I_m) = I_{m+2}).
+    J is first decided on I_1 (`is_reduction_of`): past the N explicit terms
+    I_{n+1} = I_1 I_n, so J reduces the filtration iff it reduces I_1. A J
+    certified not a reduction, or undecided, raises before any product. For
+    a reduction the search stops: past I_N one step J I_m = I_{m+1} pushes
+    forward (J I_{m+1} = J I_1 I_m = I_1 (J I_m) = I_{m+2}), and
+    J I_1^s = I_1^{s+1} gives the step at m = N + s.
     """
     j = spec.require_j()
+    verdict = j.is_reduction_of(spec.I)
+    if verdict is False:
+        raise NotAReductionError(f"J = {j} is not a reduction of I_1 = {spec.I}")
+    if verdict is None:
+        raise UndeterminedReductionError(
+            f"whether J = {j} is a reduction of I_1 = {spec.I} is undetermined"
+        )
     explicit = len(spec.explicit)
-    good = {}
-
-    def step_ok(n: int) -> bool:
-        if n not in good:
-            good[n] = spec.jterm(n) == spec.term(n + 1)
-        return good[n]
-
-    for r in range(bound + 1):
-        if all(step_ok(n) for n in range(r, max(r, explicit) + 1)):
+    for r in itertools.count():
+        # J I_n and I_n are cached on the spec, so a repeated step is one ==
+        last = max(r, explicit)
+        if all(spec.jterm(n) == spec.term(n + 1) for n in range(r, last + 1)):
             mu = len(j.minimal_generators())
             return ReductionData(
                 r=r,
                 mu=mu,
                 is_minimal=(mu == spec.dim),
-                checked_through=max(r, explicit),
+                checked_through=last,
             )
-    raise NotAReductionError(
-        f"J I_n = I_(n+1) fails for every starting degree up to {bound}; "
-        "J is not a reduction of the filtration (or raise the search bound)"
-    )
 
 
 class ElementProbe(NamedTuple):
@@ -73,6 +79,12 @@ class ElementProbe(NamedTuple):
     failed_at: int | None
     c: int | None        # superficiality offset, when kind == "superficial"
     n_checked: int
+
+
+def _require_window(n_check: int) -> None:
+    """A window check over no degree would pass having checked nothing."""
+    if n_check < 1:
+        raise InputError(f"a window check needs n_check >= 1, got {n_check}")
 
 
 def _degree_one_element(spec: FiltrationSpec, element):
@@ -97,6 +109,7 @@ def probe_fiber_regular(spec: FiltrationSpec, element, *, n_check: int = 8) -> E
 
     Degree-n test: (K I_n : x) meets I_{n-1} exactly in K I_{n-1}.
     """
+    _require_window(n_check)
     x = _degree_one_element(spec, element)
     xi = spec.ring.ideal([x])
     failed_at = None
@@ -119,11 +132,12 @@ def probe_fiber_superficial(
     spec: FiltrationSpec, element, *, n_check: int = 8, c_max: int = 6
 ) -> ElementProbe:
     """Find the least offset c with (K I_n : x) cap I_c = K I_{n-1} for
-    c < n <= n_check; existence of such a c is the superficiality test."""
+    c < n <= n_check, trying c < n_check; such a c is the superficiality test."""
+    _require_window(n_check)
     x = _degree_one_element(spec, element)
     xi = spec.ring.ideal([x])
-    last_fail = None
-    for c in range(c_max + 1):
+    failed_at = None
+    for c in range(min(c_max, n_check - 1) + 1):
         failed_at = None
         for n in range(c + 1, n_check + 1):
             lhs = spec.kterm(n).colon(xi).intersect(spec.term(c))
@@ -131,21 +145,15 @@ def probe_fiber_superficial(
                 failed_at = n
                 break
         if failed_at is None:
-            return ElementProbe(
-                element=spec.ring.format_monomial(x),
-                kind="superficial",
-                ok=True,
-                failed_at=None,
-                c=c,
-                n_checked=n_check,
-            )
-        last_fail = failed_at
+            break
+    else:
+        c = None
     return ElementProbe(
         element=spec.ring.format_monomial(x),
         kind="superficial",
-        ok=False,
-        failed_at=last_fail,
-        c=None,
+        ok=c is not None,
+        failed_at=failed_at,
+        c=c,
         n_checked=n_check,
     )
 
@@ -165,6 +173,7 @@ def valabrega_valla(spec: FiltrationSpec, *, n_check: int = 8) -> SequenceCheck:
     Passing certifies that the initial forms of J are a regular sequence in
     the associated graded ring up to the checked degree.
     """
+    _require_window(n_check)
     j = spec.require_j()
     failed_at = None
     for n in range(1, n_check + 1):
@@ -187,6 +196,7 @@ def fiber_regular_sequence_check(
     Passing certifies the degree-one images of the given elements behave as
     a regular sequence on the fiber cone through the checked degrees.
     """
+    _require_window(n_check)
     xs = [_degree_one_element(spec, e) for e in elements]
     if not xs:
         raise InputError("need at least one element to test")

@@ -12,6 +12,10 @@ from conftest import write_fixture
 X3 = "x3_x2y_y3.fk"
 X4 = "x4_x3y_xy3_y4.fk"
 SG = "semigroup_4567.fk"
+# xy lies below the simplex of x^4, y^4, and J has x^2 y^2 besides them:
+# the reduction rule cannot decide this J
+UNDECIDED_I = "ring powerseries x y\nI [4,0] [1,1] [0,4]\n"
+UNDECIDED_J = "J [4,0] [2,2] [0,4]\n"
 
 
 def run(capsys, *argv):
@@ -168,6 +172,39 @@ class TestSmallCommands:
             "mu(J) = 2  (minimal reduction)",
             "steps J I_n = I_(n+1) verified for 2 <= n <= 2",
         ]
+
+
+    def test_reduction_past_fifty(self, tmp_path, capsys):
+        path = tmp_path / "ab.fk"
+        path.write_text("ring semigroup 53 59\nI 53 59\nJ 53\n")
+        code, out, err = run(capsys, "reduction", str(path))
+        assert (code, err) == (0, "")
+        assert out.splitlines()[0] == "r = 52"
+
+    def test_reduction_certified_non_reduction(self, tmp_path, capsys):
+        path = tmp_path / "no.fk"
+        path.write_text("ring powerseries x y\nI [3,0] [2,1] [0,3]\nJ [3,0] [2,1]\n")
+        code, out, err = run(capsys, "reduction", str(path))
+        assert (code, out) == (1, "")
+        assert "not a reduction" in err
+
+    def test_reduction_undetermined(self, tmp_path, capsys):
+        path = tmp_path / "open.fk"
+        path.write_text(UNDECIDED_I + UNDECIDED_J)
+        code, out, err = run(capsys, "reduction", str(path))
+        assert (code, out) == (1, "")
+        assert "undetermined" in err
+        assert "not a reduction" not in err
+
+    def test_coeffs_ignore_an_undetermined_j(self, tmp_path, capsys):
+        # the table starts from r = 0, as without a J
+        with_j = tmp_path / "open.fk"
+        with_j.write_text(UNDECIDED_I + UNDECIDED_J)
+        without_j = tmp_path / "plain.fk"
+        without_j.write_text(UNDECIDED_I)
+        code, out, err = run(capsys, "coeffs", str(with_j))
+        assert (code, err) == (0, "")
+        assert run(capsys, "coeffs", str(without_j)) == (0, out, "")
 
 
 class TestCheckCommand:

@@ -39,6 +39,20 @@ class TestAnalyzeValidation:
             analyze(FiltrationSpec(spec.I, J=spec.I))
         assert "minimal reduction" in str(err.value)
 
+    def test_generator_count_is_checked_before_the_search(self, monkeypatch):
+        # an undecided J: analyze rejects it for its size, never reaching the rule
+        ring = PowerSeriesRing("x", "y")
+        i = ring.ideal([(4, 0), (1, 1), (0, 4)])
+        spec = FiltrationSpec(i, J=ring.ideal([(4, 0), (2, 2), (0, 4)]))
+
+        def no_step(n):
+            raise AssertionError("the step search ran")
+
+        monkeypatch.setattr(spec, "jterm", no_step)
+        with pytest.raises(InputError) as err:
+            analyze(spec)
+        assert "minimal reduction" in str(err.value)
+
     def test_criterion_lookup(self, x3_report):
         assert x3_report.criterion("fiber-depth").name == "fiber-depth"
         with pytest.raises(KeyError):

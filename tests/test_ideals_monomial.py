@@ -505,8 +505,3 @@ class TestPowers:
         i = ring.ideal([(3, 0), (2, 1), (0, 3)])
         assert i**3 == i * i * i
         assert i**4 == (i**2) * (i**2)
-
-    def test_power_cache_returns_identical_objects(self):
-        ring = PowerSeriesRing("x", "y")
-        i = ring.ideal([(3, 0), (0, 3)])
-        assert (i**5) is (i**5)

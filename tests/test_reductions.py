@@ -1,5 +1,7 @@
 """Reduction numbers, fiber element probes, sequence checks, depth classes."""
 
+import random
+
 import pytest
 
 from fibrekit import (
@@ -10,6 +12,8 @@ from fibrekit import (
     PowerSeriesRing,
     SemigroupRing,
     TheoremViolationError,
+    UndeterminedReductionError,
+    analyze,
     classify_graded_depth,
     fiber_regular_sequence_check,
     fit_tables,
@@ -18,7 +22,16 @@ from fibrekit import (
     reduction_number,
     valabrega_valla,
 )
-from conftest import make_sg_spec, make_x3_spec, make_x4_spec
+from conftest import (
+    CORPUS_SEED,
+    CORPUS_SIZE,
+    draw_corpus_candidate,
+    make_sg_spec,
+    make_x3_spec,
+    make_x4_spec,
+    newton_admits_reduction,
+)
+from test_ideals_semigroup import random_semigroup
 
 
 def spec_345():
@@ -62,7 +75,7 @@ class TestReductionNumber:
         i = ring.ideal([(3, 0), (2, 1), (0, 3)])
         j = ring.ideal([(3, 0), (2, 1)])
         with pytest.raises(NotAReductionError) as err:
-            reduction_number(FiltrationSpec(i, J=j), bound=8)
+            reduction_number(FiltrationSpec(i, J=j))
         assert "not a reduction" in str(err.value)
 
     def test_reduction_steps_hold_from_r_on(self):
@@ -72,6 +85,120 @@ class TestReductionNumber:
             assert spec.jterm(n) == spec.term(n + 1)
         # and the step genuinely fails just below r
         assert spec.jterm(data.r - 1) != spec.term(data.r)
+
+
+class TestReductionRule:
+    """Whether J is a reduction is decided from the ideals before any step."""
+
+    @pytest.mark.parametrize(
+        "ring, i_gens, j_gens, r",
+        [
+            (SemigroupRing(53, 59), [53, 59], [53], 52),
+            (SemigroupRing(101, 103), [101, 103], [101], 100),
+            (
+                PowerSeriesRing("x", "y"),
+                [(60, 0), (1, 59), (0, 60)],
+                [(60, 0), (0, 60)],
+                59,
+            ),
+        ],
+        ids=["53-59", "101-103", "x60-xy59-y60"],
+    )
+    def test_analyze_past_fifty(self, ring, i_gens, j_gens, r):
+        # reduction numbers past the search cap the rule replaced
+        report = analyze(FiltrationSpec(ring.ideal(i_gens), J=ring.ideal(j_gens)))
+        assert report.reduction.r == r
+        assert report.reduction.is_minimal
+
+    def test_rule_matches_newton_screen_on_plane_corpus_candidates(self):
+        # every candidate the corpus draws, the screened-out ones included
+        rng = random.Random(CORPUS_SEED)
+        ring = PowerSeriesRing("x", "y")
+        admitted = screened = 0
+        while admitted < CORPUS_SIZE:
+            a, b, gens = draw_corpus_candidate(rng)
+            want = newton_admits_reduction(a, b, gens)
+            got = ring.ideal([(a, 0), (0, b)]).is_reduction_of(ring.ideal(gens))
+            assert got is want, (a, b, gens)
+            admitted += want
+            screened += not want
+        assert screened > 0
+
+    def test_certified_non_reduction_raises_before_any_step(self, monkeypatch):
+        ring = PowerSeriesRing("x", "y", "z")
+        i = ring.ideal([(6, 0, 0), (0, 6, 0), (0, 0, 6), (1, 1, 1)])
+        spec = FiltrationSpec(i, J=ring.ideal([(6, 0, 0), (0, 6, 0), (0, 0, 6)]))
+
+        def no_step(n):
+            raise AssertionError("the step search ran")
+
+        monkeypatch.setattr(spec, "jterm", no_step)
+        with pytest.raises(NotAReductionError) as err:
+            reduction_number(spec)
+        assert "not a reduction" in str(err.value)
+
+    def test_j_without_a_pure_power_is_not_a_reduction(self):
+        ring = PowerSeriesRing("x", "y")
+        i = ring.ideal([(2, 0), (1, 1), (0, 2)])
+        assert ring.ideal([(2, 0), (1, 1)]).is_reduction_of(i) is False
+
+    def test_undecided_j_is_never_called_a_non_reduction(self):
+        # J has x^2 y^2 besides its pure powers, and xy lies below their simplex
+        ring = PowerSeriesRing("x", "y")
+        i = ring.ideal([(4, 0), (1, 1), (0, 4)])
+        j = ring.ideal([(4, 0), (2, 2), (0, 4)])
+        assert j.is_reduction_of(i) is None
+        with pytest.raises(UndeterminedReductionError) as err:
+            reduction_number(FiltrationSpec(i, J=j))
+        assert err.value.exit_code == 1
+        assert "not a reduction" not in str(err.value)
+        assert "undetermined" in str(err.value)
+
+    def test_extra_generators_in_j_still_certify(self):
+        # (x^3, x^2 y, y^3) over its pure powers: every J between them reduces
+        ring = PowerSeriesRing("x", "y")
+        i = ring.ideal([(3, 0), (2, 1), (0, 3)])
+        assert ring.ideal([(3, 0), (0, 3)]).is_reduction_of(i) is True
+        assert i.is_reduction_of(i) is True
+
+    def test_truncated_filtration_reads_i1(self):
+        # I_1 = (x^2, y^2), I_2 = m^4: J = I_1 reduces I_1, but the steps
+        # hold only from the recursion on (J I_1 = I_1^2 misses x y^3)
+        ring = PowerSeriesRing("x", "y")
+        i = ring.ideal([(2, 0), (0, 2)])
+        terms = (i, ring.maximal_ideal() ** 4)
+        assert reduction_number(FiltrationSpec(i, J=i, truncated_terms=terms)).r == 2
+        bad = FiltrationSpec(i, J=ring.ideal([(4, 0), (0, 2)]), truncated_terms=terms)
+        with pytest.raises(NotAReductionError):
+            reduction_number(bad)
+
+    def test_principal_semigroup_j_against_a_search(self):
+        # (t^s) reduces I iff s = min I; with s = min I = e_0 the step holds
+        # from some n < e_0, and with s larger the valuations never meet
+        rng = random.Random(31)
+        for _ in range(25):
+            ring = SemigroupRing(*random_semigroup(rng))
+            pool = ring.members_below(30)[1:]
+            i = ring.ideal(rng.sample(pool, rng.randint(1, 3)))
+            least = i.minimal_generators()[0]
+            for s in ring.members_below(least + 12):
+                if not i.contains_element(s):
+                    continue
+                j = ring.ideal([s])
+                power, search = ring.unit_ideal(), None
+                for n in range(least):
+                    if j * power == power * i:
+                        search = n
+                        break
+                    power = power * i
+                assert j.is_reduction_of(i) is (s == least)
+                assert (search is not None) is (s == least)
+                spec = FiltrationSpec(i, J=j)
+                if s == least:
+                    assert reduction_number(spec).r == search
+                else:
+                    with pytest.raises(NotAReductionError):
+                        reduction_number(spec)
 
 
 class TestElementValidation:
@@ -121,6 +248,29 @@ class TestElementProbes:
         assert regular.element == "t^4"
         assert regular.ok
         assert superficial.ok and superficial.c == 0
+
+    def test_superficial_offset_stays_inside_the_window(self):
+        # t^5 fails for every c <= 6 at n = 7; with n_check = 3 an offset
+        # c = 3 would leave the window empty and pass having checked nothing
+        spec = make_sg_spec()
+        assert not probe_fiber_superficial(spec, 5, n_check=8).ok
+        probe = probe_fiber_superficial(spec, 5, n_check=3)
+        assert not probe.ok and probe.c is None
+
+    @pytest.mark.parametrize(
+        "check",
+        [
+            lambda spec: probe_fiber_regular(spec, 6, n_check=0),
+            lambda spec: probe_fiber_superficial(spec, 6, n_check=0),
+            lambda spec: valabrega_valla(spec, n_check=0),
+            lambda spec: fiber_regular_sequence_check(spec, [4], n_check=0),
+        ],
+        ids=["regular", "superficial", "valabrega-valla", "sequence"],
+    )
+    def test_empty_window_is_rejected(self, check):
+        with pytest.raises(InputError) as err:
+            check(make_sg_spec())
+        assert "n_check >= 1" in str(err.value)
 
     def test_probe_window_is_reported(self):
         probe = probe_fiber_regular(make_x3_spec(), (3, 0), n_check=5)

@@ -8,12 +8,19 @@ n with I^(n+1) inside J I^n, decided on exponent-vector sets by
 divisibility.
 """
 
+import itertools
 import time
 from types import SimpleNamespace
 
 import pytest
 
-from fibrekit import CriterionStatus, FiltrationSpec, PowerSeriesRing, analyze
+from fibrekit import (
+    CriterionStatus,
+    FiltrationSpec,
+    PowerSeriesRing,
+    analyze,
+    reduction_number,
+)
 from test_acceptance import exponent_sums, generated_member
 from test_ideals_monomial import oracle_colength
 
@@ -64,3 +71,26 @@ def test_space_corpus(i_gens):
     assert lower.status is CriterionStatus.PASS and lower.lhs >= lower.rhs
     assert upper.status is CriterionStatus.PASS and upper.lhs <= upper.rhs
     assert lower.lhs == upper.lhs == g[1]
+
+
+@pytest.mark.parametrize("i_gens", SPACE_CORPUS, ids=lambda g: f"{len(g)}gens-a{g[0][0]}")
+def test_reduction_rule_against_search(i_gens):
+    """Every J between the pure powers and I is certified a reduction and
+    gets the search's r; raising one pure power gives a certified
+    non-reduction, for which the search finds no r either."""
+    a = i_gens[0][0]
+    pure = ((a, 0, 0), (0, a, 0), (0, 0, a))
+    ring = PowerSeriesRing("x", "y", "z")
+    i = ring.ideal(i_gens)
+    rest = i_gens[3:]
+    for k in range(len(rest) + 1):
+        for extra in itertools.combinations(rest, k):
+            j_gens = pure + extra
+            j = ring.ideal(j_gens)
+            assert j.is_reduction_of(i) is True, j_gens
+            spec = FiltrationSpec(i, J=j)
+            assert reduction_number(spec).r == brute_reduction_number(i_gens, j_gens)
+    raised = ((2 * a, 0, 0),) + pure[1:]
+    assert ring.ideal(raised).is_reduction_of(i) is False
+    with pytest.raises(AssertionError, match="no reduction number"):
+        brute_reduction_number(i_gens, raised)
