@@ -147,20 +147,40 @@ def draw_corpus_candidate(rng: random.Random):
     return a, b, tuple(sorted(gens))
 
 
+def corpus_candidates():
+    """Every candidate the corpus draws, in order, with its screen verdict,
+    until CORPUS_SIZE candidates have passed the screen."""
+    rng = random.Random(CORPUS_SEED)
+    admitted = drawn = 0
+    while admitted < CORPUS_SIZE:
+        assert drawn < CORPUS_ATTEMPT_CAP, (
+            "corpus generator is starving, loosen the screen or the cap"
+        )
+        a, b, gens = draw_corpus_candidate(rng)
+        ok = newton_admits_reduction(a, b, gens)
+        admitted += ok
+        drawn += 1
+        yield a, b, gens, ok
+
+
+def forbid_search(monkeypatch, spec) -> None:
+    """Make any reduction-search step on spec fail the test."""
+
+    def no_step(n):
+        raise AssertionError("the reduction search ran")
+
+    monkeypatch.setattr(spec, "jterm", no_step)
+
+
 @pytest.fixture(scope="session")
 def corpus():
-    rng = random.Random(CORPUS_SEED)
     ring = plane_ring()
     unit = ring.unit_ideal()
     instances = []
     skipped = 0
     start = time.monotonic()
-    while len(instances) < CORPUS_SIZE:
-        assert len(instances) + skipped < CORPUS_ATTEMPT_CAP, (
-            "corpus generator is starving, loosen the screen or the cap"
-        )
-        a, b, gens = draw_corpus_candidate(rng)
-        if not newton_admits_reduction(a, b, gens):
+    for a, b, gens, admitted in corpus_candidates():
+        if not admitted:
             skipped += 1
             continue
         i = ring.ideal(gens)

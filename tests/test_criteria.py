@@ -20,7 +20,7 @@ from fibrekit import (
     quotient_length,
     reduction_number,
 )
-from conftest import make_sg_spec, make_x3_spec, make_x4_spec
+from conftest import forbid_search, make_sg_spec, make_x3_spec, make_x4_spec
 
 
 def statuses(report):
@@ -44,11 +44,7 @@ class TestAnalyzeValidation:
         ring = PowerSeriesRing("x", "y")
         i = ring.ideal([(4, 0), (1, 1), (0, 4)])
         spec = FiltrationSpec(i, J=ring.ideal([(4, 0), (2, 2), (0, 4)]))
-
-        def no_step(n):
-            raise AssertionError("the step search ran")
-
-        monkeypatch.setattr(spec, "jterm", no_step)
+        forbid_search(monkeypatch, spec)
         with pytest.raises(InputError) as err:
             analyze(spec)
         assert "minimal reduction" in str(err.value)

@@ -23,13 +23,11 @@ from fibrekit import (
     valabrega_valla,
 )
 from conftest import (
-    CORPUS_SEED,
-    CORPUS_SIZE,
-    draw_corpus_candidate,
+    corpus_candidates,
+    forbid_search,
     make_sg_spec,
     make_x3_spec,
     make_x4_spec,
-    newton_admits_reduction,
 )
 from test_ideals_semigroup import random_semigroup
 
@@ -112,27 +110,19 @@ class TestReductionRule:
 
     def test_rule_matches_newton_screen_on_plane_corpus_candidates(self):
         # every candidate the corpus draws, the screened-out ones included
-        rng = random.Random(CORPUS_SEED)
         ring = PowerSeriesRing("x", "y")
-        admitted = screened = 0
-        while admitted < CORPUS_SIZE:
-            a, b, gens = draw_corpus_candidate(rng)
-            want = newton_admits_reduction(a, b, gens)
+        screened = 0
+        for a, b, gens, admitted in corpus_candidates():
             got = ring.ideal([(a, 0), (0, b)]).is_reduction_of(ring.ideal(gens))
-            assert got is want, (a, b, gens)
-            admitted += want
-            screened += not want
+            assert got is admitted, (a, b, gens)
+            screened += not admitted
         assert screened > 0
 
     def test_certified_non_reduction_raises_before_any_step(self, monkeypatch):
         ring = PowerSeriesRing("x", "y", "z")
         i = ring.ideal([(6, 0, 0), (0, 6, 0), (0, 0, 6), (1, 1, 1)])
         spec = FiltrationSpec(i, J=ring.ideal([(6, 0, 0), (0, 6, 0), (0, 0, 6)]))
-
-        def no_step(n):
-            raise AssertionError("the step search ran")
-
-        monkeypatch.setattr(spec, "jterm", no_step)
+        forbid_search(monkeypatch, spec)
         with pytest.raises(NotAReductionError) as err:
             reduction_number(spec)
         assert "not a reduction" in str(err.value)
