@@ -59,13 +59,17 @@ def basis_row(dim: int, basis: Basis, n: int) -> list:
 
 
 class CoefficientSet(NamedTuple):
-    """One fitted coefficient vector with its validation metadata.
+    """One fitted coefficient vector with how far it is known to hold.
 
     coefficients[i] is the i-th coefficient in `basis`; the fitted
     polynomial agrees with the source sequence exactly for
-    postulation <= n <= n_max, a run of at least fit-size + `window` points
-    (window = d + 2 by default). The fit is window-validated, not certified:
-    nothing proves the agreement past n_max.
+    postulation <= n <= n_max. With `certified_from` = N, the sequence is
+    proved polynomial for every n >= N (criteria.fit_tables gives the
+    argument) and the table reaches N + fit-size - 1, so the fit holds for
+    all n >= postulation and `window` is None. Without it (None) the fit is
+    window-validated: the run postulation..n_max has at least
+    fit-size + `window` points (window = d + 2 by default), and nothing
+    proves the agreement past n_max.
     """
 
     label: str                      # "E", "G" or "F"
@@ -74,7 +78,8 @@ class CoefficientSet(NamedTuple):
     coefficients: tuple
     postulation: int
     n_max: int
-    window: int
+    window: int | None
+    certified_from: int | None = None
 
     def value(self, n: int) -> int:
         row = basis_row(self.dim, self.basis, n)
@@ -106,6 +111,7 @@ def fit_coefficients(
     dim: int,
     basis: Basis = Basis.STANDARD,
     *,
+    certified_from: int | None = None,
     window: int | None = None,
     label: str = "",
 ) -> CoefficientSet:
@@ -116,21 +122,34 @@ def fit_coefficients(
     checked against the table at n_max-deg and n_max. The postulation index
     n0 = least n from which it reproduces the sequence through n_max is
     found walking down: n0-1 matches too iff the (deg+1)-th difference of the
-    sequence over n0-1..n0+deg is 0. Requires the matching run to be at
-    least fit-size + window points (window defaults to d+2); anything
-    shorter is NOT_YET_POLYNOMIAL, with the remedy (raise n_max) in the message.
+    sequence over n0-1..n0+deg is 0.
+
+    With certified_from = N (the sequence is known to be polynomial from N
+    on), the fit is a proof once n_max >= N + deg; a shorter table is
+    NOT_YET_POLYNOMIAL and the message names N. Otherwise the matching run
+    must be at least fit-size + window points (window defaults to d+2);
+    anything shorter is NOT_YET_POLYNOMIAL. Either message gives the remedy
+    (raise n_max).
     """
-    if window is None:
-        window = dim + 2
     deg = dim if basis is Basis.STANDARD else dim - 1
     ncoef = deg + 1
     n_max = len(values) - 1
-    if n_max + 1 < ncoef + window:
-        raise NotYetPolynomialError(
-            f"need at least {ncoef + window} table values for a validated "
-            f"{'E/G' if basis is Basis.STANDARD else 'F'} fit, got {n_max + 1}; "
-            "raise n_max"
-        )
+    kind = "E/G" if basis is Basis.STANDARD else "F"
+    if certified_from is not None:
+        window = None
+        if n_max - deg < certified_from:
+            raise NotYetPolynomialError(
+                f"the Hilbert polynomial is certified from n = {certified_from}, "
+                f"so the {kind} fit needs the table through n = "
+                f"{certified_from + deg}, got n_max = {n_max}; raise n_max"
+            )
+    else:
+        window = dim + 2 if window is None else window
+        if n_max + 1 < ncoef + window:
+            raise NotYetPolynomialError(
+                f"need at least {ncoef + window} table values for a validated "
+                f"{kind} fit, got {n_max + 1}; raise n_max"
+            )
     weights = [(-1) ** i * math.comb(ncoef, i) for i in range(ncoef + 1)]
     n0 = n_max - deg
     while n0 > 0 and not sum(map(operator.mul, weights, values[n0 - 1:n0 + ncoef])):
@@ -138,6 +157,7 @@ def fit_coefficients(
     fitted = CoefficientSet(
         label=label, dim=dim, basis=basis, postulation=n0, n_max=n_max, window=window,
         coefficients=_newton_coefficients(values[n_max - deg:], n_max),
+        certified_from=certified_from,
     )
     for n in (n_max - deg, n_max):
         if fitted.value(n) != values[n]:
@@ -145,7 +165,7 @@ def fit_coefficients(
                 f"integer read-off misses the table at n = {n}: "
                 f"{fitted.value(n)} != {values[n]}"
             )
-    if n_max - n0 + 1 < ncoef + window:
+    if window is not None and n_max - n0 + 1 < ncoef + window:
         raise NotYetPolynomialError(
             f"Hilbert data stabilizes only at n = {n0} with n_max = {n_max}: "
             f"not enough validated points ({n_max - n0 + 1} < {ncoef + window}); "
@@ -177,12 +197,22 @@ class CoefficientReport(NamedTuple):
     def f0(self) -> int:
         return self.f.coefficients[0]
 
+    @property
+    def certified_from(self) -> int | None:
+        """N from which all three fits are proved, None when window-validated."""
+        return self.e.certified_from
 
-def coefficient_report(table: HilbertTable, dim: int) -> CoefficientReport:
-    """Fit all three Hilbert functions and assert the linking identities."""
-    e = fit_coefficients(table.h, dim, Basis.STANDARD, label="E")
-    g = fit_coefficients(table.hk, dim, Basis.STANDARD, label="G")
-    f = fit_coefficients(table.hf, dim, Basis.FIBER, label="F")
+
+def coefficient_report(
+    table: HilbertTable, dim: int, certified_from: int | None = None
+) -> CoefficientReport:
+    """Fit all three Hilbert functions and assert the linking identities.
+
+    certified_from = N states that H and H_K (so H_F) are polynomial from N on.
+    """
+    e = fit_coefficients(table.h, dim, Basis.STANDARD, certified_from=certified_from, label="E")
+    g = fit_coefficients(table.hk, dim, Basis.STANDARD, certified_from=certified_from, label="G")
+    f = fit_coefficients(table.hf, dim, Basis.FIBER, certified_from=certified_from, label="F")
     if g.coefficients[0] != e.coefficients[0]:
         raise InternalInconsistencyError(
             f"g_0 = {g.coefficients[0]} differs from e_0 = {e.coefficients[0]}"
@@ -219,15 +249,21 @@ class VSequence(NamedTuple):
 
 
 def v_sequence(
-    spec: FiltrationSpec, table: HilbertTable, coefficients: CoefficientReport
+    spec: FiltrationSpec,
+    table: HilbertTable,
+    coefficients: CoefficientReport,
+    n_stop: int | None = None,
 ) -> VSequence:
-    """Compute the v-sequence (dimension 2 only) and cross-check the fit."""
+    """Compute the v-sequence (dimension 2 only) through n_stop (default
+    table.n_max) and cross-check the fit."""
     if spec.dim != 2:
         raise InternalInconsistencyError("the v-sequence is a dimension-2 construction")
     spec.require_j()
+    if n_stop is None:
+        n_stop = table.n_max
     e0 = coefficients.e0
     values = [e0, e0 - table.hk[1] + table.hk[0]]
-    for n in range(2, table.n_max + 1):
+    for n in range(2, n_stop + 1):
         values.append(spec.length("K upper", n) - spec.length("colon", n))
     g1 = sum(values[1:])
     g2 = sum((n - 1) * values[n] for n in range(1, len(values))) + table.hk[0]
@@ -254,13 +290,17 @@ def fundamental_lemma_rows(
     e0: int,
     n_start: int = 2,
     n_stop: int | None = None,
+    *,
+    g: CoefficientSet | None = None,
 ) -> tuple:
     """Check, for each n in range, the dimension-2 identity
 
         e_0 - D2[H_K](n) = len(K I_n / K J I_{n-1})
                            - len((K I_{n-1} : J) / K I_{n-2}).
 
-    Any inequality is a theorem violation (bug signal).
+    n_stop defaults to table.n_max; past it H_K is read off the fitted G
+    polynomial g, which must then be certified. Any inequality is a theorem
+    violation (bug signal).
     """
     if spec.dim != 2:
         raise InternalInconsistencyError("the identity is a dimension-2 statement")
@@ -269,9 +309,16 @@ def fundamental_lemma_rows(
         n_stop = table.n_max
     if n_start < 2:
         raise InternalInconsistencyError("the identity starts at n = 2")
+    hk = table.hk
+    if n_stop > table.n_max:
+        if g is None or g.certified_from is None:
+            raise InternalInconsistencyError(
+                f"rows past the table (n_max = {table.n_max}) need a certified G fit"
+            )
+        hk += tuple(g.value(n) for n in range(table.n_max + 1, n_stop + 1))
     rows = []
     for n in range(n_start, n_stop + 1):
-        lhs = e0 - table.delta2_hk(n)
+        lhs = e0 - (hk[n] - 2 * hk[n - 1] + hk[n - 2])
         rhs = spec.length("K upper", n) - spec.length("colon", n)
         if lhs != rhs:
             raise TheoremViolationError(
@@ -311,7 +358,7 @@ class HilbertSeries(NamedTuple):
 
 def fiber_hilbert_series(table: HilbertTable, dim: int, fit: CoefficientSet) -> HilbertSeries:
     """Numerator of sum_n H_F(n) t^n times (1-t)^dim, with termination and
-    regeneration verified against the table and the validated fit."""
+    regeneration verified against the table and the fit."""
 
     def hf(n: int) -> int:
         return table.hf[n] if n <= table.n_max else fit.value(n)

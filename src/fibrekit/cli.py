@@ -221,6 +221,23 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(f"{self.prog}: {message}")
 
 
+def _int_at_least(minimum: int):
+    """argparse type for an integer option, worded as in an input file."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text, 10)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer >= {minimum}, got {value}"
+            )
+        return value
+
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="fibrekit",
@@ -234,8 +251,8 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, needs_file=True):
         if needs_file:
             p.add_argument("file", help="input description file")
-        p.add_argument("--n-max", type=int, default=None, dest="n_max")
-        p.add_argument("--n-check", type=int, default=None, dest="n_check")
+        p.add_argument("--n-max", type=_int_at_least(0), default=None, dest="n_max")
+        p.add_argument("--n-check", type=_int_at_least(1), default=None, dest="n_check")
         p.add_argument("--report", default=None, help="write a JSON report here")
         p.add_argument(
             "--format", choices=("text", "tree"), default=None, dest="format"

@@ -15,6 +15,7 @@ for a non-Cohen-Macaulay fiber cone when the depth hypothesis fails.
 
 from __future__ import annotations
 
+import itertools
 from contextlib import suppress
 from enum import Enum
 from typing import NamedTuple
@@ -45,6 +46,7 @@ from .reductions import (
     reduction_number,
     valabrega_valla,
 )
+from .rings import PowerSeriesRing
 
 
 class CriterionStatus(Enum):
@@ -421,36 +423,116 @@ def check_minimal_multiplicity_equivalences(
     return result, conds
 
 
-FIT_RETRIES = 3
+def class_threshold(gens: tuple, box: list) -> int:
+    """The largest k_0(M_b) over the residue classes b of the m-primary
+    monomial ideal T = (gens) modulo the box a = (a_1, ..., a_d), d >= 2.
+
+    M_b is generated by the ceilings v_i = ceil((u_i - b_i)^+ / a_i) of the
+    generators u of T; they need not be minimal. Its least pure power on
+    axis i, p_i(b), is the least v_i over the u with u_j <= b_j for j != i,
+    and it is the componentwise maximum of M_b's minimal generators. In the
+    plane k_0 = min(p_1, p_2) - 1, and p_i only falls as b grows, so the
+    class b = 0 attains the maximum: it is read off T's pure powers. In
+    d >= 3 each class is bounded by |p(b)| - min |v| - (d - 1), with the
+    ceilings precomputed per axis (axes[i][c] depends on b_i = c alone).
+    """
+    if len(box) == 2:
+        # canonical plane generators run from (0, y) to (x, 0)
+        x, y = gens[-1][0], gens[0][1]
+        return min(-(-x // box[0]), -(-y // box[1])) - 1
+    d = len(box)
+    axes = [
+        [tuple(-(-max(u[i] - c, 0) // a) for u in gens) for c in range(a)]
+        for i, a in enumerate(box)
+    ]
+
+    def spread(cols) -> int:
+        cands = list(zip(*cols))
+        # v lies on axis i when every other ceiling is 0
+        top = sum(min(v[i] for v in cands if sum(v) == v[i]) for i in range(d))
+        return top - min(map(sum, cands))
+
+    return max(map(spread, itertools.product(*axes))) - (d - 1)
+
+
+def tail_start(spec: FiltrationSpec, j, r: int) -> int:
+    """N from which H and H_K are polynomial, for a certified minimal
+    reduction j of the filtration with reduction number r (see fit_tables)."""
+    if spec.dim == 1:
+        return r
+    box = j.pure_powers()
+    k0 = max(
+        class_threshold(spec.term(r).gens, box),
+        class_threshold(spec.kterm(r).gens, box),
+    )
+    return r + max(0, k0)
+
+
+def _pure_power_reduction(spec: FiltrationSpec):
+    """The pure powers of I_1 (in a semigroup ring, its least valuation)
+    when the reduction rule certifies them a reduction, else None."""
+    ring, i = spec.ring, spec.I
+    if isinstance(ring, PowerSeriesRing):
+        d = ring.dim
+        box = i.pure_powers()
+        j = ring.ideal([tuple(a if k == n else 0 for k in range(d)) for n, a in enumerate(box)])
+    else:
+        j = ring.ideal(i.minimal_generators()[:1])
+    return j if j.is_reduction_of(i) else None
 
 
 def fit_tables(
     spec: FiltrationSpec, n_max: int | None, *, reduction: ReductionData | None = None
 ):
-    """Build the length table and fit all three coefficient sets.
+    """Build the length table and fit all three coefficient sets, certified
+    from a threshold N whenever the filtration has a certified minimal
+    reduction.
 
-    When n_max is not pinned, the table runs to n = r + 2d + 5, r the reduction
-    number of J (`reduction.r`, else computed; 0 without a J or unless J is
-    certified a reduction: the fit does not need J), and a too-short table is
-    retried FIT_RETRIES times, longer each time; a pinned n_max fails fast.
+    The argument. Let J be a minimal reduction with reduction number r
+    (`reduction`, else computed for the spec's J). For n >= r,
+    I_n = J^(n-r) I_r and K I_n = J^(n-r) K I_r. A monomial J with d
+    generators reducing an m-primary ideal is (x_1^a_1, ..., x_d^a_d); a
+    semigroup J is (t^a). R is a free module over S = k[[J's generators]]
+    with basis the monomials x^b, 0 <= b_i < a_i (the Apery set of a in a
+    semigroup ring), so a monomial ideal T splits as T = (+)_b x^b M_b with
+    M_b a monomial ideal of S in y_i = x_i^a_i, and J^k T = (+)_b x^b m_S^k M_b.
+    Hence len(R/J^k T) = sum_b #{v in N^d : v not in m^k M_b}. By
+    inclusion-exclusion over the generators of M_b this count is a
+    polynomial in k for k >= k_0(M_b), the maximum over generator sets G of
+    |lcm G| - max_{u in G} |u|, minus d - 1 (Bruns-Herzog 4.1,
+    Huneke-Swanson 1.4): each term C(max(k + max|u| - |lcm G|, 0) + d - 1, d)
+    is the binomial polynomial once its argument is >= -(d - 1). In the
+    plane the extreme pair of generators attains the maximum; in d >= 3,
+    |componentwise max| - min |u| - (d - 1) bounds it (`class_threshold`).
+    So H and H_K are polynomial for n >= N = r + max(0, k_0 over all b, for
+    T = I_r and T = K I_r), and a fit read off a table through N + d is a
+    proof. In d = 1 every k_0 is 0 and N = r: H(n) = H(r) + (n - r) a.
+
+    Start rule. Without n_max the table runs to N + d. A pinned n_max of at
+    least N + d is certified as given, so a report's own n_max reproduces
+    it; a shorter one is NOT_YET_POLYNOMIAL, naming N. Without a J, or when
+    J is not a certified minimal reduction, the pure powers of I_1 (its
+    least valuation) stand in for it if they are certified a reduction.
+    Otherwise the fit is window-validated on a table through r + 2d + 5
+    (r of J when J is certified a reduction, else 0), and its
+    `certified_from` is None.
     """
-    auto = n_max is None
     dim = spec.dim
-    if auto:
-        if reduction is None and spec.J is not None:
-            with suppress(NotAReductionError, UndeterminedReductionError):
-                reduction = reduction_number(spec)
-        n_max = (0 if reduction is None else reduction.r) + 2 * dim + 5
-    attempt = 0
-    while True:
-        table = build_table(spec, n_max)
-        try:
+    j = spec.J
+    if reduction is None and j is not None:
+        with suppress(NotAReductionError, UndeterminedReductionError):
+            reduction = reduction_number(spec)
+    if reduction is None or not reduction.is_minimal:
+        pure = _pure_power_reduction(spec)
+        if pure is None:
+            if n_max is None:
+                n_max = (0 if reduction is None else reduction.r) + 2 * dim + 5
+            table = build_table(spec, n_max)
             return table, coefficient_report(table, dim)
-        except NotYetPolynomialError:
-            if not auto or attempt >= FIT_RETRIES:
-                raise
-            attempt += 1
-            n_max += 2 * dim + 3
+        j, reduction = pure, reduction_number(spec, pure)
+    start = tail_start(spec, j, reduction.r)
+    table = build_table(spec, start + dim if n_max is None else n_max)
+    return table, coefficient_report(table, dim, certified_from=start)
 
 
 def analyze(
@@ -481,8 +563,11 @@ def analyze(
     v = None
     lemma = ()
     if spec.dim == 2:
-        lemma = fundamental_lemma_rows(spec, table, coefficients.e0)
-        v = v_sequence(spec, table, coefficients)
+        stop = max(table.n_max, sum_window(reduction.r, spec.dim))
+        lemma = fundamental_lemma_rows(
+            spec, table, coefficients.e0, n_stop=stop, g=coefficients.g
+        )
+        v = v_sequence(spec, table, coefficients, n_stop=stop)
     series = fiber_hilbert_series(table, spec.dim, coefficients.f)
     graded_depth = classify_graded_depth(spec, coefficients.e1, reduction.r)
 

@@ -308,7 +308,7 @@ class MonomialIdeal(_Power):
         generator u of big is in self or has sum u_i L/a_i >= L; no when self
         lacks a pure power or consists of exactly those pure powers."""
         self._check(big)
-        a = self._box()
+        a = self.pure_powers()
         if a is None:
             return False
         lcm = math.lcm(*a)
@@ -320,7 +320,7 @@ class MonomialIdeal(_Power):
 
     # -- colength -----------------------------------------------------------
 
-    def _box(self):
+    def pure_powers(self):
         """Per-axis least pure-power exponent, or None if some axis has no
         pure power (colength infinite)."""
         d = self.ring.dim
@@ -344,7 +344,7 @@ class MonomialIdeal(_Power):
         if not CROSS_CHECK:
             return _colength_slice(self.gens)
         routes = {"slice": _colength_slice(self.gens)}
-        box = self._box()
+        box = self.pure_powers()
         if box is None:
             routes["box"] = INFINITE
         else:

@@ -12,6 +12,7 @@ Everything here is a finite, certified check:
 
 from __future__ import annotations
 
+import functools
 import itertools
 from enum import Enum
 from typing import NamedTuple
@@ -38,17 +39,21 @@ class ReductionData(NamedTuple):
         return f"{kind}reduction with r = {self.r} (mu = {self.mu})"
 
 
-def reduction_number(spec: FiltrationSpec) -> ReductionData:
+def reduction_number(spec: FiltrationSpec, j=None) -> ReductionData:
     """Least r with J I_n = I_{n+1} for all n >= r.
 
-    J is first decided on I_1 (`is_reduction_of`): past the N explicit terms
-    I_{n+1} = I_1 I_n, so J reduces the filtration iff it reduces I_1. A J
-    certified not a reduction, or undecided, raises before any product. For
-    a reduction the search stops: past I_N one step J I_m = I_{m+1} pushes
-    forward (J I_{m+1} = J I_1 I_m = I_1 (J I_m) = I_{m+2}), and
-    J I_1^s = I_1^{s+1} gives the step at m = N + s.
+    J is the spec's own (its products J I_n cached on the spec) unless `j`
+    names another candidate. J is first decided on I_1 (`is_reduction_of`):
+    past the N explicit terms I_{n+1} = I_1 I_n, so J reduces the filtration
+    iff it reduces I_1. A J certified not a reduction, or undecided, raises
+    before any product. For a reduction the search stops: past I_N one step
+    J I_m = I_{m+1} pushes forward (J I_{m+1} = J I_1 I_m = I_1 (J I_m) =
+    I_{m+2}), and J I_1^s = I_1^{s+1} gives the step at m = N + s.
     """
-    j = spec.require_j()
+    if j is None:
+        j, jterm = spec.require_j(), spec.jterm
+    else:
+        jterm = functools.cache(lambda n: j * spec.term(n))
     verdict = j.is_reduction_of(spec.I)
     if verdict is False:
         raise NotAReductionError(f"J = {j} is not a reduction of I_1 = {spec.I}")
@@ -60,7 +65,7 @@ def reduction_number(spec: FiltrationSpec) -> ReductionData:
     for r in itertools.count():
         # J I_n and I_n are cached on the spec, so a repeated step is one ==
         last = max(r, explicit)
-        if all(spec.jterm(n) == spec.term(n + 1) for n in range(r, last + 1)):
+        if all(jterm(n) == spec.term(n + 1) for n in range(r, last + 1)):
             mu = len(j.minimal_generators())
             return ReductionData(
                 r=r,

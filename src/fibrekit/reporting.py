@@ -69,6 +69,7 @@ def as_dict(report: AnalysisReport) -> dict:
                 "g": c.g.postulation,
                 "f": c.f.postulation,
             },
+            "certified_from": c.certified_from,
         },
         "series": {
             "numerator": list(report.series.numerator),
@@ -160,6 +161,7 @@ def render_text(report: AnalysisReport) -> str:
     add(f"e               {_coeff_tuple(c.e.coefficients)}  exact from n = {c.e.postulation}")
     add(f"g               {_coeff_tuple(c.g.coefficients)}  exact from n = {c.g.postulation}")
     add(f"f               {_coeff_tuple(c.f.coefficients)}  exact from n = {c.f.postulation}")
+    add(f"fit             certified from n = {c.certified_from}")
     if report.v is not None:
         add(f"v               {_coeff_tuple(report.v.values)}")
         add(f"                sums: g_1 = {report.v.g1}, g_2 = {report.v.g2}")

@@ -242,6 +242,17 @@ class TestFundamentalLemmaRows:
         rows = fundamental_lemma_rows(spec, table, report.e0, n_start=3, n_stop=5)
         assert [row.n for row in rows] == [3, 4, 5]
 
+    def test_rows_past_the_table_read_the_certified_polynomial(self):
+        spec = make_x3_spec()
+        table = build_table(spec, 6)
+        with pytest.raises(InternalInconsistencyError):
+            fundamental_lemma_rows(spec, table, 9, n_stop=10)
+        report = coefficient_report(table, 2, certified_from=4)
+        rows = fundamental_lemma_rows(spec, table, 9, n_stop=10, g=report.g)
+        longer = build_table(spec, 10)
+        assert rows == fundamental_lemma_rows(spec, longer, 9)
+        assert [row.n for row in rows] == list(range(2, 11))
+
     def test_start_below_two_is_rejected(self):
         spec = make_x3_spec()
         table = build_table(spec, 8)

@@ -89,6 +89,18 @@ class TestAnalyzeCommand:
         assert code == 0
         assert json.loads(out)["n_check"] == 9
 
+    def test_n_check_below_one_is_an_input_error(self, tmp_path, capsys):
+        path = write_fixture(tmp_path, SG)
+        code, out, err = run(
+            capsys, "analyze", str(path), "--n-check", "-3", "--format", "tree"
+        )
+        assert (code, out) == (3, "")
+        assert "--n-check: expected an integer >= 1, got -3" in err
+        code, _, err = run(capsys, "analyze", str(path), "--n-check", "0")
+        assert code == 3 and "expected an integer >= 1, got 0" in err
+        code, _, err = run(capsys, "analyze", str(path), "--n-max", "-1")
+        assert code == 3 and "--n-max: expected an integer >= 0, got -1" in err
+
     def test_n_max_too_small_fails_cleanly(self, tmp_path, capsys):
         path = write_fixture(tmp_path, X3)
         code, out, err = run(capsys, "analyze", str(path), "--n-max", "3")
@@ -142,7 +154,8 @@ class TestSmallCommands:
         ]
 
     def test_auto_table_starts_past_the_reduction_number(self, tmp_path, capsys):
-        # r = 22 here: a table sized 2d + 5 = 7 (retried to 22) stops too early
+        # r = 22 here, so the certified start is N = r = 22 (d = 1): the table
+        # runs to N + d = 23, past the reduction number
         path = tmp_path / "ab.fk"
         path.write_text("ring semigroup 23 24\nI 23 24\nJ 23\nK maximal\n")
         code, out, err = run(capsys, "analyze", str(path), "--format", "tree")
@@ -153,7 +166,7 @@ class TestSmallCommands:
         postulation = fitted["postulation"]
         assert out.splitlines() == [
             f"{label} = ({', '.join(map(str, fitted[label]))})  "
-            f"exact from n = {postulation[label]}  (table through n = 29)"
+            f"exact from n = {postulation[label]}  (table through n = 23)"
             for label in "egf"
         ]
         code, out, err = run(capsys, "series", str(path))
@@ -162,6 +175,22 @@ class TestSmallCommands:
         code, out, err = run(capsys, "check", "depth-g", str(path))
         assert (code, err) == (0, "")
         assert out.splitlines()[0] == "graded depth: cohen-macaulay"
+
+    def test_fits_without_j_are_certified(self, tmp_path, capsys):
+        # the least valuation t^23 stands in for the missing J
+        with_j = tmp_path / "ab.fk"
+        with_j.write_text("ring semigroup 23 24\nI 23 24\nJ 23\nK maximal\n")
+        without_j = tmp_path / "ab_no_j.fk"
+        without_j.write_text("ring semigroup 23 24\nI 23 24\nK maximal\n")
+        for command in ("coeffs", "series"):
+            code, out, err = run(capsys, command, str(without_j))
+            assert (code, err) == (0, "")
+            assert out == run(capsys, command, str(with_j))[1]
+            if command == "coeffs":
+                assert out.splitlines()[0].endswith("(table through n = 23)")
+        code, out, err = run(capsys, "coeffs", str(without_j), "--n-max", "22")
+        assert (code, out) == (1, "")
+        assert "certified from n = 22" in err and "raise n_max" in err
 
     def test_reduction(self, tmp_path, capsys):
         path = write_fixture(tmp_path, X3)

@@ -56,7 +56,8 @@ class TestAnalyzeValidation:
 
 
 class TestFitTables:
-    """The automatic table runs to n = r + 2d + 5; a pinned n_max binds."""
+    """With a certified minimal reduction the table runs to N + d, N the
+    certified start of the Hilbert polynomial; a pinned n_max binds."""
 
     def test_start_follows_the_reduction_number(self):
         ring = SemigroupRing(23, 24)
@@ -64,25 +65,66 @@ class TestFitTables:
         spec = FiltrationSpec(i, J=ring.ideal([23]))
         assert reduction_number(spec).r == 22
         table, report = fit_tables(spec, None)
-        assert table.n_max == 22 + 2 + 5
+        # d = 1: N = r = 22 and the table stops at N + d
+        assert table.n_max == 22 + 1
+        assert report.certified_from == 22
         assert report.e.coefficients == (23, 253)
         assert fit_tables(spec, None, reduction=reduction_number(spec))[0] == table
-        # without a J r counts as 0
-        table, _ = fit_tables(FiltrationSpec(ring.ideal([23])), None)
-        assert table.n_max == 0 + 2 + 5
+        # without a J the least valuation of I stands in: (t^23) is its own
+        # reduction with r = 0
+        table, report = fit_tables(FiltrationSpec(ring.ideal([23])), None)
+        assert table.n_max == 0 + 1
+        assert report.certified_from == 0
 
     def test_no_reduction_falls_back_to_zero(self):
         spec = make_x3_spec()
         no_reduction = FiltrationSpec(spec.I, J=spec.ring.ideal([(3, 0), (2, 1)]))
         table, report = fit_tables(no_reduction, None)
-        assert table.n_max == 0 + 2 * 2 + 5
+        # the pure powers (x^3, y^3) of I stand in for the J that is not a reduction
+        assert report.certified_from == 4
+        assert table.n_max == 4 + 2
         assert report.e.coefficients == (9, 3, 1)
+        # (x^4, y^4) does not reduce (x^4, xy, y^4): the fit is window-validated
+        # on a table through r + 2d + 5 with r = 0
+        ring = PowerSeriesRing("x", "y")
+        table, report = fit_tables(
+            FiltrationSpec(ring.ideal([(4, 0), (1, 1), (0, 4)])), None
+        )
+        assert table.n_max == 0 + 2 * 2 + 5
+        assert report.certified_from is None
+        assert report.e.window == 2 + 2
+        assert report.e.coefficients == (8, 1, 0)
 
     def test_pinned_n_max_binds(self):
         ring = SemigroupRing(23, 24)
         spec = FiltrationSpec(ring.ideal([23, 24]), J=ring.ideal([23]))
         with pytest.raises(NotYetPolynomialError, match="n_max = 22"):
             fit_tables(spec, 22)
+
+    def test_short_pinned_table_names_the_certified_start(self):
+        spec = make_x3_spec()
+        with pytest.raises(NotYetPolynomialError) as err:
+            fit_tables(spec, 5)
+        assert "certified from n = 4" in str(err.value)
+        assert "through n = 6, got n_max = 5" in str(err.value)
+        # a longer pinned table is certified as given
+        table, report = fit_tables(spec, 11)
+        assert (table.n_max, report.certified_from) == (11, 4)
+        assert report.g.coefficients == (9, 0, 1)
+
+    def test_missing_j_is_certified_from_the_least_valuation(self):
+        ring = SemigroupRing(23, 24)
+        table, report = fit_tables(FiltrationSpec(ring.ideal([23, 24])), None)
+        assert (table.n_max, report.certified_from) == (23, 22)
+        assert report.e.coefficients == (23, 253)
+
+    def test_missing_j_is_certified_from_the_pure_powers(self):
+        spec = make_x4_spec()
+        table, report = fit_tables(FiltrationSpec(spec.I), None)
+        with_j = fit_tables(spec, None)
+        assert report.certified_from == with_j[1].certified_from
+        assert table == with_j[0]
+        assert report.e.coefficients == (16, 6, 0)
 
 
 class TestX3Criteria:

@@ -88,8 +88,13 @@ class TestHappyPaths:
         assert spec.I.gens == ((3,),) and spec.K == doc.ring.maximal_ideal()
         report = analyze(spec)
         assert report.e0 == 3 and report.reduction.r == 0
-        assert report.table.h[:4] == (0, 3, 6, 9)
-        assert report.table.hk[:4] == (1, 4, 7, 10)
+        # d = 1 and r = 0: the polynomials are certified from n = 0 and the
+        # table stops at n = 1; H(2), H(3), H_K(2), H_K(3) come off the fit
+        assert report.coefficients.certified_from == 0
+        assert report.table.h == (0, 3) and report.table.hk == (1, 4)
+        e, g = report.coefficients.e, report.coefficients.g
+        assert [e.value(n) for n in (2, 3)] == [6, 9]
+        assert [g.value(n) for n in (2, 3)] == [7, 10]
         assert report.coefficients.g.coefficients == (3, -1)
         assert all(c.status is CriterionStatus.PASS for c in report.criteria)
 
