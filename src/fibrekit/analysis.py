@@ -298,13 +298,14 @@ def fundamental_lemma_rows(
         e_0 - D2[H_K](n) = len(K I_n / K J I_{n-1})
                            - len((K I_{n-1} : J) / K I_{n-2}).
 
-    n_stop defaults to table.n_max; past it H_K is read off the fitted G
-    polynomial g, which must then be certified. Any inequality is a theorem
-    violation (bug signal).
+    J must be a minimal reduction (mu(J) = 2); otherwise the identity need
+    not hold and the input is refused. n_stop defaults to table.n_max; past
+    it H_K is read off the fitted G polynomial g, which must then be
+    certified. Any inequality is a theorem violation (bug signal).
     """
     if spec.dim != 2:
         raise InternalInconsistencyError("the identity is a dimension-2 statement")
-    spec.require_j()
+    spec.require_minimal_j()
     if n_stop is None:
         n_stop = table.n_max
     if n_start < 2:

@@ -19,6 +19,7 @@ from importlib import resources
 from .analysis import fiber_hilbert_series, fundamental_lemma_rows
 from .criteria import AnalysisReport, CriterionStatus, analyze, fit_tables
 from .errors import EXIT_OK, FibrekitError, InputError
+from .filtration import sum_window
 from .inputfile import load_spec
 from .reductions import DepthClass, classify_graded_depth, reduction_number
 from .reporting import as_dict, render_text, render_tree
@@ -90,10 +91,14 @@ def _cmd_lemma(args) -> int:
     spec, n_max, _, _ = _load(args.file, args)
     if spec.dim != 2:
         raise InputError("the second-difference identity table needs dimension 2")
-    spec.require_j()
-    table, coefficients = fit_tables(spec, n_max)
-    rows = fundamental_lemma_rows(spec, table, coefficients.e0)
-    out = [f"e_0 = {coefficients.e0}; identity rows for n = 2..{table.n_max}:"]
+    spec.require_minimal_j()
+    reduction = reduction_number(spec)
+    table, coefficients = fit_tables(spec, n_max, reduction=reduction)
+    stop = max(table.n_max, sum_window(reduction.r, spec.dim))
+    rows = fundamental_lemma_rows(
+        spec, table, coefficients.e0, n_stop=stop, g=coefficients.g
+    )
+    out = [f"e_0 = {coefficients.e0}; identity rows for n = 2..{stop}:"]
     for row in rows:
         out.append(f"  n = {row.n:<3} lhs = {row.lhs:<6} rhs = {row.rhs:<6} equal")
     _emit(out, args, None)
@@ -127,6 +132,7 @@ def _cmd_reduction(args) -> int:
 def _cmd_check(args) -> int:
     spec, n_max, n_check, _ = _load(args.file, args)
     if args.target == "depth-g":
+        spec.require_minimal_j()
         data = reduction_number(spec)
         table, coefficients = fit_tables(spec, n_max, reduction=data)
         gd = classify_graded_depth(spec, coefficients.e1, data.r)

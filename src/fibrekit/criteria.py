@@ -547,12 +547,7 @@ def analyze(
     reduction, build the length table, fit coefficients, verify the identities,
     compute the fiber series, classify graded depth, evaluate the criteria.
     """
-    mu = len(spec.require_j().minimal_generators())
-    if mu != spec.dim:
-        raise InputError(
-            f"the checks need a minimal reduction: J has {mu} "
-            f"minimal generators, the ring dimension is {spec.dim}"
-        )
+    spec.require_minimal_j()
     reduction = reduction_number(spec)
     if n_max is None:
         n_max = spec.n_max

@@ -192,6 +192,17 @@ class FiltrationSpec:
             )
         return self.J
 
+    def require_minimal_j(self):
+        """J, checked to have as many minimal generators as the ring's
+        dimension, as the paper's identities and criteria assume."""
+        mu = len(self.require_j().minimal_generators())
+        if mu != self.dim:
+            raise InputError(
+                f"this operation needs a minimal reduction: J has {mu} "
+                f"minimal generators, the ring dimension is {self.dim}"
+            )
+        return self.J
+
     def jterm(self, n: int):
         """J * I_n."""
         got = self._jterms.get(n)

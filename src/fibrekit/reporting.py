@@ -5,7 +5,7 @@ stable: tests round-trip it.
 
 from __future__ import annotations
 
-import json
+from json.encoder import encode_basestring_ascii
 
 from .criteria import AnalysisReport
 from .filtration import FiltrationSpec
@@ -123,7 +123,56 @@ def as_dict(report: AnalysisReport) -> dict:
 
 
 def render_tree(report: AnalysisReport) -> str:
-    return json.dumps(as_dict(report), indent=2)
+    """The report as JSON text, byte-identical to
+    `json.dumps(as_dict(report), indent=2)`, without a trailing newline."""
+    out = []
+    _emit(as_dict(report), out, "\n")
+    return "".join(out)
+
+
+def _emit(value, out: list, newline: str) -> None:
+    """Append the indent-2 JSON text of value to out; newline is a line break
+    followed by the indentation of value's own line.
+
+    Exactly the types as_dict produces are accepted: int, str, list, dict
+    with str keys, bool and None. Anything else, a float or a tuple included,
+    is a TypeError, so no value can render differently from json.dumps."""
+    cls = type(value)
+    if cls is int:
+        out.append(int.__repr__(value))
+    elif cls is str:
+        out.append(encode_basestring_ascii(value))
+    elif cls is list:
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            _emit(item, out, inner)
+            sep = "," + inner
+        out.append(newline + "]")
+    elif cls is dict:
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, item in value.items():
+            # encode_basestring_ascii raises TypeError on a key that is not a str
+            out.append(sep + encode_basestring_ascii(key) + ": ")
+            _emit(item, out, inner)
+            sep = "," + inner
+        out.append(newline + "}")
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    else:
+        raise TypeError(f"cannot render a {cls.__name__} in a report")
 
 
 def _coeff_tuple(values) -> str:

@@ -134,12 +134,18 @@ def test_threshold_bounds_the_postulation_on_the_space_corpus():
         assert observed_postulation(report.spec, start) <= min(start, report.reduction.r)
 
 
-def test_threshold_bounds_the_postulation_on_a_semigroup_corpus():
+def semigroup_corpus_specs():
+    """I = m, J = (t^a) for a seeded draw of 25 small semigroup rings."""
     rng = random.Random(1103)
     for _ in range(25):
         ring = SemigroupRing(*random_semigroup(rng))
         m = ring.maximal_ideal()
-        report = analyze(FiltrationSpec(m, J=ring.ideal(m.minimal_generators()[:1])))
+        yield FiltrationSpec(m, J=ring.ideal(m.minimal_generators()[:1]))
+
+
+def test_threshold_bounds_the_postulation_on_a_semigroup_corpus():
+    for spec in semigroup_corpus_specs():
+        report = analyze(spec)
         # d = 1: N = r, and H(n) = H(r) + (n - r) a exactly from r on
         start = report.coefficients.certified_from
         assert start == report.reduction.r

@@ -131,6 +131,41 @@ class TestSmallCommands:
         assert lines[1] == "  n = 2   lhs = 0      rhs = 0      equal"
         assert all(line.endswith("equal") for line in lines[1:])
 
+    def test_fundamental_lemma_rows_match_the_report(self, tmp_path, capsys):
+        # r = 1 and the table stops at N + d = 4, but the rows run through
+        # r + 4 = 5, as they do in analyze's report
+        path = tmp_path / "m2.fk"
+        path.write_text(
+            "ring powerseries x y\nI [2,0] [1,1] [0,2]\nJ [2,0] [0,2]\nK maximal\n"
+        )
+        code, out, _ = run(capsys, "fundamental-lemma", str(path))
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0] == "e_0 = 4; identity rows for n = 2..5:"
+        code, tree, _ = run(capsys, "analyze", str(path), "--format", "tree")
+        assert code == 0
+        rows = json.loads(tree)["fundamental_lemma"]
+        assert [row["n"] for row in rows] == [2, 3, 4, 5]
+        assert lines[1:] == [
+            f"  n = {row['n']:<3} lhs = {row['lhs']:<6} rhs = {row['rhs']:<6} equal"
+            for row in rows
+        ]
+
+    @pytest.mark.parametrize("command", [("fundamental-lemma",), ("check", "depth-g")])
+    def test_needs_a_minimal_reduction(self, tmp_path, capsys, command):
+        # J = (y^9, x^5 y, x^7) reduces I but has three generators: neither
+        # the identity nor the depth bounds are theorems for it, and both
+        # used to fail as if they were violated (exit 2)
+        path = tmp_path / "mu3.fk"
+        path.write_text(
+            "ring powerseries x y\nI [0,9] [1,8] [5,1] [7,0]\n"
+            "J [0,9] [5,1] [7,0]\nK maximal\n"
+        )
+        code, out, err = run(capsys, *command, str(path))
+        assert code == 3
+        assert out == ""
+        assert "needs a minimal reduction: J has 3 minimal generators" in err
+
     def test_fundamental_lemma_needs_dimension_two(self, tmp_path, capsys):
         path = write_fixture(tmp_path, SG)
         code, out, err = run(capsys, "fundamental-lemma", str(path))

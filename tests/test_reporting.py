@@ -5,10 +5,12 @@ from pathlib import Path
 
 import pytest
 
-from fibrekit import FiltrationSpec, analyze, load_spec
+from fibrekit import FiltrationSpec, PowerSeriesRing, analyze, load_spec
 from fibrekit.cli import _SELFTEST_FIXTURES
-from fibrekit.reporting import as_dict, render_text, render_tree, spec_as_dict
+from fibrekit.reporting import _emit, as_dict, render_text, render_tree, spec_as_dict
 from conftest import fixture_text, make_sg_spec, make_x3_spec, plane_ring
+from test_certified_tail import semigroup_corpus_specs
+from test_space_corpus import SPACE_CORPUS
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -230,3 +232,69 @@ class TestGoldenReports:
         tree = render_tree(analyze(spec)) + "\n"
         golden = (GOLDEN / name.replace(".fk", ".json")).read_bytes()
         assert tree.encode("utf-8") == golden
+
+
+def emit(value) -> str:
+    out = []
+    _emit(value, out, "\n")
+    return "".join(out)
+
+
+def oracle(value) -> str:
+    return json.dumps(value, indent=2)
+
+
+class TestRenderTreeAgainstJson:
+    """render_tree's emitter against json.dumps(..., indent=2) as an oracle:
+    the report must stay byte-identical to it."""
+
+    def test_fixture_reports(self, x3_report, x4_report, sg_report):
+        for report in (x3_report, x4_report, sg_report):
+            assert render_tree(report) == oracle(as_dict(report))
+
+    def test_plane_corpus_reports(self, corpus):
+        for inst in corpus.instances:
+            for report in (inst.report_m, inst.report_r):
+                assert render_tree(report) == oracle(as_dict(report))
+
+    def test_space_corpus_reports(self):
+        ring = PowerSeriesRing("x", "y", "z")
+        for gens in SPACE_CORPUS:
+            a = gens[0][0]
+            j = ring.ideal([(a, 0, 0), (0, a, 0), (0, 0, a)])
+            report = analyze(FiltrationSpec(ring.ideal(gens), J=j))
+            assert render_tree(report) == oracle(as_dict(report))
+
+    def test_semigroup_corpus_reports(self):
+        for spec in semigroup_corpus_specs():
+            report = analyze(spec)
+            assert render_tree(report) == oracle(as_dict(report))
+
+    def test_non_ascii_variable_names_are_escaped(self):
+        ring = PowerSeriesRing("α", "β")
+        i = ring.ideal([(2, 0), (1, 1), (0, 2)])
+        report = analyze(FiltrationSpec(i, J=ring.ideal([(2, 0), (0, 2)])))
+        tree = render_tree(report)
+        assert tree == oracle(as_dict(report))
+        assert tree.isascii() and '"\\u03b1"' in tree
+
+    def test_hand_built_tree(self):
+        tree = {
+            "empty_list": [],
+            "empty_dict": {},
+            "nested": [[], [[1, [2]], {}], [{"k": []}]],
+            "strings": ['say "hi"', "back\\slash", "tab\tnew\nline\x00\x1f", "", "é☃𝄞"],
+            "ints": [0, -1, -(2**70), 2**64, 2**64 + 1, 10**40],
+            "flags": [True, False, None],
+            "quoted \"key\"\n": {"": None},
+        }
+        assert emit(tree) == oracle(tree)
+        for scalar in ([], {}, "", 'a"b', -7, 2**65, True, False, None):
+            assert emit(scalar) == oracle(scalar)
+
+    @pytest.mark.parametrize(
+        "value", [1.0, {1, 2}, object(), (1, 2), [0, 0.5], {"x": {3}}, {1: 2}]
+    )
+    def test_other_types_raise(self, value):
+        with pytest.raises(TypeError):
+            emit(value)
