@@ -24,7 +24,7 @@ from fibrekit import (
 )
 from fibrekit.criteria import class_threshold
 from test_ideals_semigroup import random_semigroup
-from test_space_corpus import SPACE_CORPUS
+from test_space_corpus import SPACE_CORPUS, space_corpus_spec
 
 
 def pure_power(gens, i):
@@ -124,11 +124,8 @@ def test_threshold_bounds_the_postulation_on_the_plane_corpus(corpus):
 
 
 def test_threshold_bounds_the_postulation_on_the_space_corpus():
-    ring = PowerSeriesRing("x", "y", "z")
     for gens in SPACE_CORPUS:
-        a = gens[0][0]
-        j = ring.ideal([(a, 0, 0), (0, a, 0), (0, 0, a)])
-        report = analyze(FiltrationSpec(ring.ideal(gens), J=j))
+        report = analyze(space_corpus_spec(gens))
         start = report.coefficients.certified_from
         assert report.reduction.r <= start
         assert observed_postulation(report.spec, start) <= min(start, report.reduction.r)

@@ -10,7 +10,7 @@ from fibrekit.cli import _SELFTEST_FIXTURES
 from fibrekit.reporting import _emit, as_dict, render_text, render_tree, spec_as_dict
 from conftest import fixture_text, make_sg_spec, make_x3_spec, plane_ring
 from test_certified_tail import semigroup_corpus_specs
-from test_space_corpus import SPACE_CORPUS
+from test_space_corpus import SPACE_CORPUS, space_corpus_spec
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -258,11 +258,8 @@ class TestRenderTreeAgainstJson:
                 assert render_tree(report) == oracle(as_dict(report))
 
     def test_space_corpus_reports(self):
-        ring = PowerSeriesRing("x", "y", "z")
         for gens in SPACE_CORPUS:
-            a = gens[0][0]
-            j = ring.ideal([(a, 0, 0), (0, a, 0), (0, 0, a)])
-            report = analyze(FiltrationSpec(ring.ideal(gens), J=j))
+            report = analyze(space_corpus_spec(gens))
             assert render_tree(report) == oracle(as_dict(report))
 
     def test_semigroup_corpus_reports(self):

@@ -31,6 +31,14 @@ SPACE_CORPUS = [
 ]
 
 
+def space_corpus_spec(i_gens) -> FiltrationSpec:
+    """K = m and J = (x^a, y^a, z^a) for one SPACE_CORPUS input."""
+    a = i_gens[0][0]
+    ring = PowerSeriesRing("x", "y", "z")
+    j = ring.ideal([(a, 0, 0), (0, a, 0), (0, 0, a)])
+    return FiltrationSpec(ring.ideal(i_gens), J=j)
+
+
 def brute_reduction_number(i_gens, j_gens, limit=8):
     """Least n with every exponent sum of I^(n+1) a multiple of one of J I^n."""
     power = {(0, 0, 0)}  # I^0
@@ -46,9 +54,8 @@ def brute_reduction_number(i_gens, j_gens, limit=8):
 def test_space_corpus(i_gens):
     a = i_gens[0][0]
     j_gens = ((a, 0, 0), (0, a, 0), (0, 0, a))
-    ring = PowerSeriesRing("x", "y", "z")
     started = time.perf_counter()
-    report = analyze(FiltrationSpec(ring.ideal(i_gens), J=ring.ideal(j_gens)))
+    report = analyze(space_corpus_spec(i_gens))
     elapsed = time.perf_counter() - started
     # well under a second each; the bound only catches a return to the
     # per-point kernels, which took minutes on the last input
