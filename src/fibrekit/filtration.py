@@ -29,6 +29,12 @@ memoized by (entry, n), with each entry's certified sum over n >= 1
 * "G depth":    len(I_n / J I_{n-1});
 * "colon":      len((K I_{n-1} : J) / K I_{n-2}).
 
+At n >= 1 the entries "K lower", "K upper", "K cm" and "G cm" first read
+"G depth" at n, which is always computed, and are recorded as 0 without
+building their ideals when it is 0: then I_n = J I_{n-1}, and each of the
+four quotients is zero for every n, K and filtration (proof in bounded_sum).
+Under ideals.CROSS_CHECK each implied 0 is also computed directly.
+
 Only the integers are memoized; the ideals come from the term caches.
 build_table records each H_K(n) it computes as "K colength" at n, so
 len(R/K) is the table's own H_K(0) and is not computed again.
@@ -36,8 +42,10 @@ len(R/K) is the table's own H_K(0) and is not computed again.
 
 from __future__ import annotations
 
+import logging
 from typing import Callable, NamedTuple
 
+from . import ideals
 from .errors import (
     InfiniteLengthError,
     InputError,
@@ -58,6 +66,11 @@ _LEDGER = {
     "colon": lambda s, n: (s.kterm(n - 1).colon(s.require_j()), s.kterm(n - 2)),
 }
 
+# entries that are 0 at any n >= 1 where "G depth" is 0 (see bounded_sum)
+_IMPLIED_BY_G_DEPTH = frozenset(("K lower", "K upper", "K cm", "G cm"))
+
+_log = logging.getLogger(__name__)
+
 
 def sum_window(reduction_number: int, dim: int) -> int:
     """Last degree a certified length sum inspects."""
@@ -70,6 +83,16 @@ def bounded_sum(term: Callable[[int], int], reduction_number: int, dim: int) -> 
     Every summand with reduction_number < n <= sum_window(reduction_number,
     dim) must vanish identically; a nonzero tail raises UNDETERMINED rather
     than truncating silently.
+
+    For the ledger's sums (FiltrationSpec.length_sum) the tail is certified
+    by "G depth" at each degree of the window, computed there from I_n and
+    J I_{n-1}. Where it is 0, I_n = J I_{n-1}, which gives
+      K I_n = K J I_{n-1},
+      I_n <= J,
+      K I_n <= I_n = J I_{n-1},
+    so "K lower", "K upper", "K cm" and "G cm" vanish at n without their
+    ideals being built. The rule never uses reduction_number, so a claimed
+    reduction number that is too small still meets a nonzero summand.
     """
     total = 0
     for n in range(1, sum_window(reduction_number, dim) + 1):
@@ -226,7 +249,14 @@ class FiltrationSpec:
         key = (name, n)
         got = self._lengths.get(key)
         if got is None:
-            got = quotient_length(*_LEDGER[name](self, n))
+            if n >= 1 and name in _IMPLIED_BY_G_DEPTH and self.length("G depth", n) == 0:
+                got = 0
+                if ideals.CROSS_CHECK and quotient_length(*_LEDGER[name](self, n)):
+                    raise InternalInconsistencyError(
+                        f"{name!r} at n = {n} is nonzero although I_n = J I_(n-1)"
+                    )
+            else:
+                got = quotient_length(*_LEDGER[name](self, n))
             self._lengths[key] = got
         return got
 
@@ -239,6 +269,17 @@ class FiltrationSpec:
                 lambda n: self.length(name, n), reduction_number, self.dim
             )
             self._sums[key] = got
+            if _log.isEnabledFor(logging.DEBUG):
+                window = sum_window(reduction_number, self.dim)
+                implied = 0
+                if name in _IMPLIED_BY_G_DEPTH:
+                    implied = sum(
+                        self.length("G depth", n) == 0 for n in range(1, window + 1)
+                    )
+                _log.debug(
+                    "length sum %r over n = 1..%d is %d; %d of %d summands read off G depth",
+                    name, window, got, implied, window,
+                )
         return got
 
     def g1_sum(self, name: str, reduction_number: int) -> int:

@@ -65,7 +65,7 @@ def quotient_length(big, small) -> int:
     Containment is checked first; a violation is an error, never a negative
     number. Both colengths must be finite. Equal ideals cost one colength.
     """
-    if big.ring != small.ring:
+    if big.ring is not small.ring and big.ring != small.ring:
         raise RingMismatchError("quotient_length across different rings")
     if big == small:
         if big.colength() is INFINITE:
@@ -219,7 +219,7 @@ class MonomialIdeal(_Power):
     def _check(self, other):
         if not isinstance(other, MonomialIdeal):
             raise TypeError(f"expected a monomial ideal, got {type(other).__name__}")
-        if other.ring != self.ring:
+        if other.ring is not self.ring and other.ring != self.ring:
             raise RingMismatchError("monomial ideals from different rings")
 
     # -- arithmetic ---------------------------------------------------------
@@ -548,7 +548,7 @@ class SemigroupIdeal(_Power):
     def _check(self, other):
         if not isinstance(other, SemigroupIdeal):
             raise TypeError(f"expected a semigroup ideal, got {type(other).__name__}")
-        if other.ring != self.ring:
+        if other.ring is not self.ring and other.ring != self.ring:
             raise RingMismatchError("semigroup ideals from different rings")
 
     # -- element masks (nonzero ideals only) ---------------------------------

@@ -1,6 +1,7 @@
 """FiltrationSpec validation, term caches, the length ledger, and Hilbert
 function tables."""
 
+import logging
 import sys
 
 import pytest
@@ -9,6 +10,7 @@ import fibrekit.filtration
 from fibrekit import (
     FiltrationSpec,
     InputError,
+    InternalInconsistencyError,
     MissingReductionError,
     PowerSeriesRing,
     SemigroupRing,
@@ -17,8 +19,12 @@ from fibrekit import (
     bounded_sum,
     build_table,
     quotient_length,
+    render_tree,
 )
-from conftest import make_sg_spec, make_x3_spec, make_x4_spec
+from fibrekit.filtration import sum_window
+from conftest import colength_cross_check, make_sg_spec, make_x3_spec, make_x4_spec
+from test_certified_tail import semigroup_corpus_specs
+from test_space_corpus import SPACE_CORPUS, space_corpus_spec
 
 
 def plane():
@@ -242,7 +248,17 @@ class TestLengthLedger:
         computed, _ = count_ledger(monkeypatch)
         assert spec.length_sum("K upper", 2) == want
         assert spec.length_sum("K upper", 2) == want
-        assert computed == [("K upper", n) for n in range(1, 7)]
+        # "G depth" is read first at each n; it is 0 from n = 3 on
+        assert computed == [
+            ("G depth", 1),
+            ("K upper", 1),
+            ("G depth", 2),
+            ("K upper", 2),
+            ("G depth", 3),
+            ("G depth", 4),
+            ("G depth", 5),
+            ("G depth", 6),
+        ]
         assert spec.g1_sum("K upper", 2) == want - spec.length("K colength", 0)
 
     def test_length_sum_keeps_the_tail_check(self):
@@ -270,6 +286,98 @@ class TestLengthLedger:
         analyze(make())
         assert len(computed) == len(set(computed))
         assert len(calls) == len(computed) < parent_calls
+
+
+IMPLIED = ("K lower", "K upper", "K cm", "G cm")
+
+
+def corpus_specs(kind, corpus):
+    """(spec, r) for every input of one test corpus, each spec analyzed."""
+    if kind == "plane":
+        for inst in corpus.instances:
+            yield inst.spec_m, inst.report_m.reduction.r
+            yield inst.spec_r, inst.report_r.reduction.r
+        return
+    specs = (
+        [space_corpus_spec(gens) for gens in SPACE_CORPUS]
+        if kind == "space"
+        else semigroup_corpus_specs()
+    )
+    for spec in specs:
+        yield spec, analyze(spec).reduction.r
+
+
+class TestImpliedEntries:
+    """The four entries a zero "G depth" implies are 0 (filtration.py)."""
+
+    @pytest.mark.parametrize("kind", ["plane", "space", "semigroup"])
+    def test_implied_entries_match_their_definitions(self, request, kind):
+        corpus = request.getfixturevalue("corpus") if kind == "plane" else None
+        implied = 0
+        for spec, r in corpus_specs(kind, corpus):
+            for n in range(1, sum_window(r, spec.dim) + 1):
+                implied += spec.length("G depth", n) == 0
+                for name in IMPLIED:
+                    want = direct_entry(spec, name, n)
+                    assert spec.length(name, n) == want, (spec, name, n)
+        # every corpus reaches the rule: each window runs past r
+        assert implied > 0
+
+    @pytest.mark.parametrize("make", [make_x3_spec, make_sg_spec])
+    def test_analysis_builds_no_implied_pair(self, monkeypatch, make):
+        spec = make()
+        computed, _ = count_ledger(monkeypatch)
+        analyze(spec)
+        zero = {n for name, n in computed if name == "G depth" and spec.length(name, n) == 0}
+        assert zero
+        assert not [(name, n) for name, n in computed if name in IMPLIED and n in zero]
+
+    def test_cross_check_builds_every_implied_pair(self, monkeypatch):
+        spec = make_x3_spec()
+        computed, _ = count_ledger(monkeypatch)
+        with colength_cross_check():
+            assert spec.length_sum("K upper", 2) == bounded_sum(
+                lambda n: direct_entry(spec, "K upper", n), 2, 2
+            )
+        window = range(1, sum_window(2, 2) + 1)
+        assert [n for name, n in computed if name == "K upper"] == list(window)
+
+    @pytest.mark.parametrize("name", IMPLIED)
+    def test_cross_check_catches_a_nonzero_implied_entry(self, monkeypatch, name):
+        # a wrong pair whose quotient is len(R/K I_n) > 0
+        monkeypatch.setitem(
+            fibrekit.filtration._LEDGER, name, lambda s, n: (s.term(0), s.kterm(n))
+        )
+        spec = make_x3_spec()
+        assert spec.length("G depth", 3) == 0
+        with colength_cross_check():
+            with pytest.raises(InternalInconsistencyError):
+                spec.length(name, 3)
+        # production records the implied 0 without building the pair
+        assert make_x3_spec().length(name, 3) == 0
+
+
+class TestLedgerLogging:
+    def test_length_sum_logs_one_debug_line(self, caplog):
+        caplog.set_level(logging.DEBUG, logger="fibrekit.filtration")
+        spec = make_x4_spec()
+        assert spec.length_sum("K upper", 2) == 3
+        assert spec.length_sum("K upper", 2) == 3
+        assert spec.length_sum("G depth", 2) == 7
+        assert [(r.name, r.levelno) for r in caplog.records] == [
+            ("fibrekit.filtration", logging.DEBUG)
+        ] * 2
+        assert [r.getMessage() for r in caplog.records] == [
+            "length sum 'K upper' over n = 1..6 is 3; 4 of 6 summands read off G depth",
+            "length sum 'G depth' over n = 1..6 is 7; 0 of 6 summands read off G depth",
+        ]
+
+    def test_logging_leaves_the_report_as_it_is(self, caplog):
+        quiet = render_tree(analyze(make_x3_spec()))
+        assert caplog.records == []
+        caplog.set_level(logging.DEBUG, logger="fibrekit.filtration")
+        assert render_tree(analyze(make_x3_spec())) == quiet
+        assert caplog.records
 
 
 class TestBuildTable:

@@ -487,6 +487,23 @@ class TestQuotientLength:
         with pytest.raises(RingMismatchError):
             quotient_length(r1.ideal([(1, 0), (0, 1)]), r2.ideal([(2, 0), (0, 2)]))
 
+    def test_equal_rings_built_twice_interoperate(self):
+        r1 = PowerSeriesRing("x", "y")
+        r2 = PowerSeriesRing("x", "y")
+        assert r1 is not r2
+        m, i = r1.maximal_ideal(), r2.ideal([(2, 0), (0, 2)])
+        assert quotient_length(m, i) == 3
+        assert m.contains(i) and m * i == r1.ideal([(3, 0), (1, 2), (2, 1), (0, 3)])
+        assert m + i == m and m.intersect(i) == i
+        assert i.colon(m) == r1.ideal([(2, 0), (1, 1), (0, 2)])
+
+    def test_every_binary_operation_checks_the_ring(self):
+        i = PowerSeriesRing("x", "y").ideal([(2, 0), (0, 2)])
+        j = PowerSeriesRing("u", "v").ideal([(2, 0), (0, 2)])
+        for op in (i.__mul__, i.__add__, i.intersect, i.colon, i.contains, i.is_reduction_of):
+            with pytest.raises(RingMismatchError):
+                op(j)
+
 
 class TestPowers:
     def test_power_zero_is_unit_ideal(self):

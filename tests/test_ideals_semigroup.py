@@ -16,6 +16,7 @@ from fibrekit import (
     FiltrationSpec,
     InputError,
     InternalInconsistencyError,
+    RingMismatchError,
     SemigroupIdeal,
     SemigroupRing,
     analyze,
@@ -191,6 +192,28 @@ class TestOperationsAgainstOracle:
                 if not any(x in elems and table[e - x] for x in range(e))
             )
             assert ring.ideal(i_gens).minimal_generators() == tuple(expected)
+
+
+class TestRings:
+    def test_equal_rings_built_twice_interoperate(self):
+        r1 = SemigroupRing(4, 5, 6, 7)
+        r2 = SemigroupRing(4, 5, 6, 7)
+        assert r1 is not r2
+        m, i = r1.maximal_ideal(), r2.ideal([4, 5, 6])
+        assert quotient_length(m, i) == 1
+        assert m.contains(i) and m * i == r1.ideal([8, 9, 10, 11])
+        assert m + i == m and m.intersect(i) == i
+        assert i.colon(m) == m
+        assert i.is_reduction_of(m)
+
+    def test_different_rings_raise(self):
+        i = SemigroupRing(4, 5, 6, 7).ideal([4, 5, 6])
+        j = SemigroupRing(3, 5).ideal([3, 5])
+        for op in (i.__mul__, i.__add__, i.intersect, i.colon, i.contains, i.is_reduction_of):
+            with pytest.raises(RingMismatchError):
+                op(j)
+        with pytest.raises(RingMismatchError):
+            quotient_length(i, j)
 
 
 class TestEdgeCases:
