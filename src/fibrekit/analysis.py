@@ -30,7 +30,6 @@ from .errors import (
     TheoremViolationError,
 )
 from .filtration import FiltrationSpec, HilbertTable
-from .filtration import bounded_sum  # noqa: F401  (re-exported)
 
 
 def binomial(m: int, k: int) -> int:

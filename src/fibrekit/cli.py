@@ -50,31 +50,34 @@ def _read_file(path: str) -> str:
         raise InputError(f"cannot read {path}: {exc}")
 
 
-def _load(path: str, args):
-    doc, spec = load_spec(_read_file(path))
+def _load(args):
+    """Parse args.file into (document, spec, n_max); --n-max overrides the
+    file's n_max."""
+    doc, spec = load_spec(_read_file(args.file))
     n_max = args.n_max if args.n_max is not None else spec.n_max
-    n_check = args.n_check if args.n_check is not None else spec.n_check
-    fmt = args.format if args.format is not None else doc.fmt
-    return spec, n_max, n_check, fmt
+    return doc, spec, n_max
 
 
-def _emit(out: list, args, report: AnalysisReport | None) -> None:
+def _emit(
+    out: list, report: AnalysisReport | None = None, path: str | None = None
+) -> None:
     sys.stdout.write("\n".join(out) + ("\n" if out else ""))
-    if getattr(args, "report", None) and report is not None:
-        with open(args.report, "w", encoding="utf-8") as fh:
+    if path and report is not None:
+        with open(path, "w", encoding="utf-8") as fh:
             fh.write(render_tree(report) + "\n")
 
 
 def _cmd_analyze(args) -> int:
-    spec, n_max, n_check, fmt = _load(args.file, args)
-    report = analyze(spec, n_max=n_max, n_check=n_check)
+    doc, spec, n_max = _load(args)
+    report = analyze(spec, n_max=n_max)
+    fmt = args.format if args.format is not None else doc.fmt
     text = render_tree(report) if fmt == "tree" else render_text(report)
-    _emit([text.removesuffix("\n")], args, report)
+    _emit([text.removesuffix("\n")], report, args.report)
     return EXIT_OK
 
 
 def _cmd_coeffs(args) -> int:
-    spec, n_max, _, _ = _load(args.file, args)
+    _, spec, n_max = _load(args)
     table, coefficients = fit_tables(spec, n_max)
     out = []
     for cs in (coefficients.e, coefficients.g, coefficients.f):
@@ -83,12 +86,12 @@ def _cmd_coeffs(args) -> int:
             f"{cs.label.lower()} = {tup}  exact from n = {cs.postulation}"
             f"  (table through n = {table.n_max})"
         )
-    _emit(out, args, None)
+    _emit(out)
     return EXIT_OK
 
 
 def _cmd_lemma(args) -> int:
-    spec, n_max, _, _ = _load(args.file, args)
+    _, spec, n_max = _load(args)
     if spec.dim != 2:
         raise InputError("the second-difference identity table needs dimension 2")
     spec.require_minimal_j()
@@ -101,23 +104,23 @@ def _cmd_lemma(args) -> int:
     out = [f"e_0 = {coefficients.e0}; identity rows for n = 2..{stop}:"]
     for row in rows:
         out.append(f"  n = {row.n:<3} lhs = {row.lhs:<6} rhs = {row.rhs:<6} equal")
-    _emit(out, args, None)
+    _emit(out)
     return EXIT_OK
 
 
 def _cmd_series(args) -> int:
-    spec, n_max, _, _ = _load(args.file, args)
+    _, spec, n_max = _load(args)
     table, coefficients = fit_tables(spec, n_max)
     series = fiber_hilbert_series(table, spec.dim, coefficients.f)
     out = [f"fiber series: {series}"]
     if series.has_negative:
         out.append("NEGATIVE COEFFICIENT: fiber cone is not Cohen-Macaulay")
-    _emit(out, args, None)
+    _emit(out)
     return EXIT_OK
 
 
 def _cmd_reduction(args) -> int:
-    spec, _, _, _ = _load(args.file, args)
+    _, spec = load_spec(_read_file(args.file))
     spec.require_j()
     data = reduction_number(spec)
     out = [
@@ -125,12 +128,12 @@ def _cmd_reduction(args) -> int:
         f"mu(J) = {data.mu}" + ("  (minimal reduction)" if data.is_minimal else ""),
         f"steps J I_n = I_(n+1) verified for {data.r} <= n <= {data.checked_through}",
     ]
-    _emit(out, args, None)
+    _emit(out)
     return EXIT_OK
 
 
 def _cmd_check(args) -> int:
-    spec, n_max, n_check, _ = _load(args.file, args)
+    _, spec, n_max = _load(args)
     if args.target == "depth-g":
         spec.require_minimal_j()
         data = reduction_number(spec)
@@ -140,12 +143,11 @@ def _cmd_check(args) -> int:
             f"graded depth: {gd.classification.value}",
             f"e_1 = {gd.e1}, cm sum = {gd.cm_sum}, depth sum = {gd.depth_sum}",
         ]
-        _emit(out, args, None)
+        _emit(out)
         return EXIT_OK
-    report = analyze(spec, n_max=n_max, n_check=n_check)
+    report = analyze(spec, n_max=n_max)
     criterion = report.criterion(_CHECK_CRITERION[args.target])
-    out = [str(criterion)]
-    _emit(out, args, report)
+    _emit([str(criterion)], report, args.report)
     return EXIT_OK
 
 
@@ -211,7 +213,7 @@ def _cmd_selftest(args) -> int:
             out.append(f"{name}: FAIL ({'; '.join(failures)})")
         else:
             out.append(f"{name}: ok")
-    _emit(out, args, None)
+    _emit(out)
     return EXIT_OK if not bad else 1
 
 
@@ -244,6 +246,29 @@ def _int_at_least(minimum: int):
     return parse
 
 
+_FLAGS = {
+    "--n-max": {"type": _int_at_least(0), "help": "table length"},
+    "--report": {"help": "write the JSON report here"},
+    "--format": {"choices": ("text", "tree")},
+}
+
+# command -> (handler, help, flags); a command takes only the flags its
+# handler reads, so a flag it would ignore is a usage error
+_COMMANDS = {
+    "analyze": (_cmd_analyze, "full report", ("--n-max", "--report", "--format")),
+    "coeffs": (_cmd_coeffs, "fitted e, g, f coefficients", ("--n-max",)),
+    "fundamental-lemma": (
+        _cmd_lemma,
+        "second-difference identity rows (dim 2)",
+        ("--n-max",),
+    ),
+    "series": (_cmd_series, "fiber-cone Hilbert series", ("--n-max",)),
+    "reduction": (_cmd_reduction, "reduction number of J", ()),
+    "check": (_cmd_check, "one named criterion", ("--n-max", "--report")),
+    "selftest": (_cmd_selftest, "run the embedded examples", ()),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="fibrekit",
@@ -253,42 +278,15 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, needs_file=True):
-        if needs_file:
+    for name, (_, help_text, flags) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        if name == "check":
+            p.add_argument("target", choices=_CHECK_TARGETS)
+        if name != "selftest":
             p.add_argument("file", help="input description file")
-        p.add_argument("--n-max", type=_int_at_least(0), default=None, dest="n_max")
-        p.add_argument("--n-check", type=_int_at_least(1), default=None, dest="n_check")
-        p.add_argument("--report", default=None, help="write a JSON report here")
-        p.add_argument(
-            "--format", choices=("text", "tree"), default=None, dest="format"
-        )
-
-    common(sub.add_parser("analyze", help="full report"))
-    common(sub.add_parser("coeffs", help="fitted e, g, f coefficients"))
-    common(
-        sub.add_parser(
-            "fundamental-lemma", help="second-difference identity rows (dim 2)"
-        )
-    )
-    common(sub.add_parser("series", help="fiber-cone Hilbert series"))
-    common(sub.add_parser("reduction", help="reduction number of J"))
-    check = sub.add_parser("check", help="one named criterion")
-    check.add_argument("target", choices=_CHECK_TARGETS)
-    common(check)
-    common(sub.add_parser("selftest", help="run the embedded examples"), needs_file=False)
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
     return parser
-
-
-_HANDLERS = {
-    "analyze": _cmd_analyze,
-    "coeffs": _cmd_coeffs,
-    "fundamental-lemma": _cmd_lemma,
-    "series": _cmd_series,
-    "reduction": _cmd_reduction,
-    "check": _cmd_check,
-    "selftest": _cmd_selftest,
-}
 
 
 def main(argv=None) -> int:
@@ -296,7 +294,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        handler = _HANDLERS[args.command]
+        handler = _COMMANDS[args.command][0]
         log.debug("running %s", args.command)
         return handler(args)
     except FibrekitError as exc:

@@ -114,7 +114,6 @@ class AnalysisReport(NamedTuple):
     lemma_rows: tuple = ()
     equivalences: EquivalenceConditions | None = None
     g1_onedim_value: int | None = None
-    n_check: int = 0
 
     @property
     def dim(self) -> int:
@@ -366,8 +365,6 @@ def check_minimal_multiplicity_equivalences(
     reduction: ReductionData,
     graded_depth: GradedDepth,
     fiber_cm: CriterionResult,
-    *,
-    n_check: int,
 ) -> tuple:
     """For K = m and an ideal of (classic) minimal multiplicity, the three
     statements
@@ -379,7 +376,7 @@ def check_minimal_multiplicity_equivalences(
     are equivalent. Each is evaluated independently; disagreement is a bug.
     Returns (CriterionResult, EquivalenceConditions or None).
     """
-    vv = valabrega_valla(spec, n_check=max(n_check, reduction.r + 2))
+    vv = valabrega_valla(spec)
     graded_cm = graded_depth.classification is DepthClass.CM
     if vv.ok != graded_cm:
         raise TheoremViolationError(
@@ -535,12 +532,7 @@ def fit_tables(
     return table, coefficient_report(table, dim, certified_from=start)
 
 
-def analyze(
-    spec: FiltrationSpec,
-    *,
-    n_max: int | None = None,
-    n_check: int | None = None,
-) -> AnalysisReport:
+def analyze(spec: FiltrationSpec, *, n_max: int | None = None) -> AnalysisReport:
     """Run the complete pipeline and return an immutable report.
 
     Order: check mu(J) = dim (such a J is never undetermined), certify the
@@ -552,8 +544,6 @@ def analyze(
     if n_max is None:
         n_max = spec.n_max
     table, coefficients = fit_tables(spec, n_max, reduction=reduction)
-    if n_check is None:
-        n_check = spec.n_check if spec.n_check is not None else max(reduction.r + 2, 6)
 
     v = None
     lemma = ()
@@ -598,7 +588,7 @@ def analyze(
         )
         if mm_flags.classic and spec.mode == "adic":
             eq_result, equivalences = check_minimal_multiplicity_equivalences(
-                spec, reduction, graded_depth, fiber_cm, n_check=n_check
+                spec, reduction, graded_depth, fiber_cm
             )
             criteria.append(eq_result)
 
@@ -615,5 +605,4 @@ def analyze(
         lemma_rows=lemma,
         equivalences=equivalences,
         g1_onedim_value=g1_onedim_value,
-        n_check=n_check,
     )

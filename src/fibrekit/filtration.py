@@ -120,7 +120,6 @@ class FiltrationSpec:
         *,
         truncated_terms=None,
         n_max: int | None = None,
-        n_check: int | None = None,
     ):
         ring = I.ring
         self.ring = ring
@@ -128,7 +127,6 @@ class FiltrationSpec:
         self.K = ring.maximal_ideal() if K is None else K
         self.J = J
         self.n_max = n_max
-        self.n_check = n_check
         self._terms = {0: ring.unit_ideal(), 1: I}
         self._kterms: dict = {}
         self._jterms: dict = {}

@@ -8,7 +8,6 @@ Grammar (one directive per line, '#' starts a comment, blank lines ignored):
     J <generators>                         optional (reduction to test)
     K maximal | K <generators>             default: maximal
     n_max <integer >= 0>                   optional table-length override
-    n_check <integer >= 1>                 optional probe-depth override
     format text | tree                     default stdout rendering
 
 Monomial generators are bracketed exponent vectors: [3,0] or [3 0].
@@ -37,7 +36,6 @@ class InputDocument(NamedTuple):
     j_gens: list | None
     k_gens: object  # MAXIMAL or a list of generators
     n_max: int | None
-    n_check: int | None
     fmt: str
 
     def spec(self) -> FiltrationSpec:
@@ -45,7 +43,7 @@ class InputDocument(NamedTuple):
         i = ring.ideal(self.i_gens)
         j = ring.ideal(self.j_gens) if self.j_gens is not None else None
         k = None if self.k_gens is MAXIMAL else ring.ideal(self.k_gens)
-        return FiltrationSpec(i, K=k, J=j, n_max=self.n_max, n_check=self.n_check)
+        return FiltrationSpec(i, K=k, J=j, n_max=self.n_max)
 
 
 def _split_tokens(body: str, line_no: int, offset: int) -> list:
@@ -143,7 +141,6 @@ def parse_input(text: str) -> InputDocument:
     seen = {}
     ideals = {"I": None, "J": None, "K": None}
     n_max = None
-    n_check = None
     fmt = "text"
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -153,6 +150,10 @@ def parse_input(text: str) -> InputDocument:
         stripped = body.lstrip()
         indent = len(body) - len(stripped)
         tokens = _split_tokens(stripped, line_no, indent)
+        if not tokens:
+            raise ParseError(
+                "expected a directive, found only commas", line=line_no, column=indent + 1
+            )
         (key, key_col), rest = tokens[0], tokens[1:]
 
         if key in seen:
@@ -209,10 +210,6 @@ def parse_input(text: str) -> InputDocument:
             if len(rest) != 1:
                 raise ParseError("n_max takes one integer", line=line_no, column=key_col)
             n_max = _int_token(rest[0][0], line_no, rest[0][1], minimum=0)
-        elif key == "n_check":
-            if len(rest) != 1:
-                raise ParseError("n_check takes one integer", line=line_no, column=key_col)
-            n_check = _int_token(rest[0][0], line_no, rest[0][1], minimum=1)
         elif key == "format":
             if len(rest) != 1 or rest[0][0] not in ("text", "tree"):
                 raise ParseError(
@@ -236,7 +233,6 @@ def parse_input(text: str) -> InputDocument:
         j_gens=ideals["J"],
         k_gens=MAXIMAL if ideals["K"] is None else ideals["K"],
         n_max=n_max,
-        n_check=n_check,
         fmt=fmt,
     )
 

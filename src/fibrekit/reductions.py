@@ -6,6 +6,7 @@ Everything here is a finite, certified check:
   search proves its r (the filtration's recursion pushes each step forward);
 * element probes test degree-one elements of the fiber cone for
   regularity / superficiality over an explicit window of degrees;
+* the Valabrega-Valla certificate is complete at the reduction number;
 * the depth classifier compares e_1 against the two partial-length sums
   whose agreement characterizes depth of the associated graded ring.
 """
@@ -17,13 +18,15 @@ import itertools
 from enum import Enum
 from typing import NamedTuple
 
+from . import ideals
 from .errors import (
     InputError,
+    InternalInconsistencyError,
     NotAReductionError,
     TheoremViolationError,
     UndeterminedReductionError,
 )
-from .filtration import FiltrationSpec
+from .filtration import FiltrationSpec, sum_window
 
 
 class ReductionData(NamedTuple):
@@ -172,24 +175,34 @@ class SequenceCheck(NamedTuple):
     n_checked: int
 
 
-def valabrega_valla(spec: FiltrationSpec, *, n_check: int = 8) -> SequenceCheck:
-    """Check J cap I_n = J I_{n-1} for 1 <= n <= n_check.
+def valabrega_valla(spec: FiltrationSpec) -> SequenceCheck:
+    """Valabrega-Valla: the associated graded ring is Cohen-Macaulay iff
+    J cap I_n = J I_{n-1} for every n >= 1.
 
-    Passing certifies that the initial forms of J are a regular sequence in
-    the associated graded ring up to the checked degree.
+    The certificate is complete at the reduction number r: for n > r the
+    certified step I_n = J I_{n-1} puts I_n inside J, so J cap I_n = I_n =
+    J I_{n-1}. Only 1 <= n <= r is compared. Under ideals.CROSS_CHECK the
+    implied degrees r < n <= sum_window(r, d) are compared too, and a
+    difference raises InternalInconsistencyError.
     """
-    _require_window(n_check)
     j = spec.require_j()
-    failed_at = None
-    for n in range(1, n_check + 1):
-        if j.intersect(spec.term(n)) != spec.jterm(n - 1):
-            failed_at = n
-            break
+    r = reduction_number(spec).r
+
+    def holds(n: int) -> bool:
+        return j.intersect(spec.term(n)) == spec.jterm(n - 1)
+
+    failed_at = next((n for n in range(1, r + 1) if not holds(n)), None)
+    if ideals.CROSS_CHECK:
+        for n in range(r + 1, sum_window(r, spec.dim) + 1):
+            if not holds(n):
+                raise InternalInconsistencyError(
+                    f"J cap I_{n} differs from J I_{n - 1} although n > r = {r}"
+                )
     return SequenceCheck(
         name="valabrega-valla",
         ok=failed_at is None,
         failed_at=failed_at,
-        n_checked=n_check,
+        n_checked=r,
     )
 
 

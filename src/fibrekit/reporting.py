@@ -99,7 +99,6 @@ def as_dict(report: AnalysisReport) -> dict:
             }
             for cr in report.criteria
         ],
-        "n_check": report.n_check,
     }
     if report.v is not None:
         out["v_sequence"] = {

@@ -76,30 +76,16 @@ class TestAnalyzeCommand:
         ring = SemigroupRing(*inp["ring"]["generators"])
         spec = FiltrationSpec(ring.ideal(inp["I"]), J=ring.ideal(inp["J"]))
         assert inp["K"] == "maximal"  # the default, so nothing to pass
-        rebuilt = analyze(
-            spec, n_max=data["table"]["n_max"], n_check=data["n_check"]
-        )
+        rebuilt = analyze(spec, n_max=data["table"]["n_max"])
         assert as_dict(rebuilt) == data
 
-    def test_n_check_override_lands_in_report(self, tmp_path, capsys):
-        path = write_fixture(tmp_path, X3)
-        code, out, _ = run(
-            capsys, "analyze", str(path), "--n-check", "9", "--format", "tree"
-        )
-        assert code == 0
-        assert json.loads(out)["n_check"] == 9
-
-    def test_n_check_below_one_is_an_input_error(self, tmp_path, capsys):
+    def test_n_max_below_zero_is_an_input_error(self, tmp_path, capsys):
         path = write_fixture(tmp_path, SG)
         code, out, err = run(
-            capsys, "analyze", str(path), "--n-check", "-3", "--format", "tree"
+            capsys, "analyze", str(path), "--n-max", "-1", "--format", "tree"
         )
         assert (code, out) == (3, "")
-        assert "--n-check: expected an integer >= 1, got -3" in err
-        code, _, err = run(capsys, "analyze", str(path), "--n-check", "0")
-        assert code == 3 and "expected an integer >= 1, got 0" in err
-        code, _, err = run(capsys, "analyze", str(path), "--n-max", "-1")
-        assert code == 3 and "--n-max: expected an integer >= 0, got -1" in err
+        assert "--n-max: expected an integer >= 0, got -1" in err
 
     def test_n_max_too_small_fails_cleanly(self, tmp_path, capsys):
         path = write_fixture(tmp_path, X3)
@@ -324,6 +310,34 @@ class TestCheckCommand:
         assert code == 3
         assert out == ""
         assert "invalid choice" in err
+
+
+class TestFlags:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("coeffs", X3, "--report", "out.json"),
+            ("series", X3, "--report", "out.json"),
+            ("fundamental-lemma", X3, "--format", "tree"),
+            ("check", "cm-fiber", X3, "--format", "tree"),
+            ("reduction", X3, "--n-max", "9"),
+            ("selftest", "--n-max", "1"),
+            ("selftest", "--format", "tree"),
+            ("selftest", "--report", "out.json"),
+            ("analyze", X3, "--n-check", "9"),
+        ],
+        ids=lambda argv: " ".join(argv),
+    )
+    def test_flag_the_command_would_ignore_is_a_usage_error(
+        self, tmp_path, capsys, monkeypatch, argv
+    ):
+        # a flag is registered only on the commands whose handler reads it
+        write_fixture(tmp_path, X3)
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert "unrecognized arguments" in err
+        assert not (tmp_path / "out.json").exists()
 
 
 class TestSelftest:

@@ -169,7 +169,6 @@ class TestX3Criteria:
         assert x3_report.series.numerator == (1, 1, 1)
         assert not x3_report.series.has_negative
         assert x3_report.reduction.r == 2
-        assert x3_report.n_check == 6
 
 
 class TestX4Criteria:

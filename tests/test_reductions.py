@@ -8,6 +8,7 @@ from fibrekit import (
     DepthClass,
     FiltrationSpec,
     InputError,
+    InternalInconsistencyError,
     NotAReductionError,
     PowerSeriesRing,
     SemigroupRing,
@@ -22,7 +23,9 @@ from fibrekit import (
     reduction_number,
     valabrega_valla,
 )
+from fibrekit.filtration import sum_window
 from conftest import (
+    colength_cross_check,
     corpus_candidates,
     forbid_search,
     make_sg_spec,
@@ -30,6 +33,7 @@ from conftest import (
     make_x4_spec,
 )
 from test_ideals_semigroup import random_semigroup
+from test_space_corpus import SPACE_CORPUS, space_corpus_spec
 
 
 def spec_345():
@@ -252,10 +256,9 @@ class TestElementProbes:
         [
             lambda spec: probe_fiber_regular(spec, 6, n_check=0),
             lambda spec: probe_fiber_superficial(spec, 6, n_check=0),
-            lambda spec: valabrega_valla(spec, n_check=0),
             lambda spec: fiber_regular_sequence_check(spec, [4], n_check=0),
         ],
-        ids=["regular", "superficial", "valabrega-valla", "sequence"],
+        ids=["regular", "superficial", "sequence"],
     )
     def test_empty_window_is_rejected(self, check):
         with pytest.raises(InputError) as err:
@@ -294,12 +297,75 @@ class TestSequenceChecks:
             assert check.name == "valabrega-valla"
             assert not check.ok
             assert check.failed_at == 2
+            # the certificate is complete at the reduction number r = 2
+            assert check.n_checked == reduction_number(spec).r == 2
 
     def test_valabrega_valla_passes_for_maximal_adic(self):
         assert valabrega_valla(spec_m_adic()).ok
 
     def test_valabrega_valla_passes_for_345(self):
         assert valabrega_valla(spec_345()).ok
+
+    def test_valabrega_valla_at_reduction_number_zero(self):
+        ring = PowerSeriesRing("x", "y")
+        i = ring.ideal([(2, 0), (0, 2)])
+        check = valabrega_valla(FiltrationSpec(i, J=i))
+        assert check.ok and check.failed_at is None
+        assert check.n_checked == 0
+
+    @pytest.mark.parametrize(
+        "spec, run",
+        [(make_sg_spec(), analyze)]
+        + [(space_corpus_spec(gens), valabrega_valla) for gens in SPACE_CORPUS],
+        ids=["semigroup-analyze"] + [f"space-{i}" for i in range(len(SPACE_CORPUS))],
+    )
+    def test_cross_check_compares_the_implied_degrees(self, monkeypatch, spec, run):
+        # analyze never reaches the certificate on the space corpus (no input
+        # there has classic minimal multiplicity), so it is called directly
+        r = reduction_number(spec).r
+        compared = list(range(1, (valabrega_valla(spec).failed_at or r) + 1))
+        implied = list(range(r + 1, sum_window(r, spec.dim) + 1))
+        degrees = _j_intersection_degrees(monkeypatch, spec, implied[-1])
+        with colength_cross_check():
+            run(spec)
+        assert degrees == compared + implied
+        degrees.clear()
+        valabrega_valla(spec)
+        assert degrees == compared
+
+    def test_cross_check_raises_on_a_wrong_implied_degree(self, monkeypatch):
+        spec = make_sg_spec()
+        r = reduction_number(spec).r
+        cls = type(spec.J)
+        original = cls.intersect
+
+        def wrong_at_r_plus_1(self, other):
+            if self is spec.J and other is spec.term(r + 1):
+                other = spec.term(r + 2)
+            return original(self, other)
+
+        monkeypatch.setattr(cls, "intersect", wrong_at_r_plus_1)
+        assert valabrega_valla(spec).failed_at == 2
+        with colength_cross_check():
+            with pytest.raises(InternalInconsistencyError) as err:
+                valabrega_valla(spec)
+        assert f"n > r = {r}" in str(err.value)
+
+
+def _j_intersection_degrees(monkeypatch, spec, last: int) -> list:
+    """The degrees n <= last at which J cap I_n is built, in call order,
+    filled in as the spec's J intersects its own terms."""
+    degrees = []
+    cls = type(spec.J)
+    original = cls.intersect
+
+    def spy(self, other):
+        if self is spec.J:
+            degrees.append(next(n for n in range(1, last + 1) if spec.term(n) is other))
+        return original(self, other)
+
+    monkeypatch.setattr(cls, "intersect", spy)
+    return degrees
 
 
 class TestGradedDepthClassification:

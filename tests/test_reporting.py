@@ -13,6 +13,20 @@ from test_certified_tail import semigroup_corpus_specs
 from test_space_corpus import SPACE_CORPUS, space_corpus_spec
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+SCHEMA_DOC = Path(__file__).resolve().parent.parent / "docs" / "report-schema.md"
+
+
+def schema_doc_keys() -> tuple:
+    """(always-present keys, conditional keys): the first cell of each row
+    of the two key tables in docs/report-schema.md."""
+    tables = {}
+    heading = None
+    for line in SCHEMA_DOC.read_text(encoding="utf-8").splitlines():
+        if line.startswith("## "):
+            heading = line[3:]
+        elif line.startswith("| `"):
+            tables.setdefault(heading, set()).add(line.split("`")[1])
+    return tables["Top-level keys (always present)"], tables["Conditional keys"]
 
 
 class TestAsDict:
@@ -26,7 +40,6 @@ class TestAsDict:
             "graded_depth",
             "input",
             "minimal_multiplicity",
-            "n_check",
             "reduction",
             "series",
             "table",
@@ -77,7 +90,6 @@ class TestAsDict:
         assert d["v_sequence"] == {"values": [9] + [0] * 8, "g1": 0, "g2": 1}
         assert [row["n"] for row in d["fundamental_lemma"]] == list(range(2, 9))
         assert all(row["lhs"] == row["rhs"] == 0 for row in d["fundamental_lemma"])
-        assert d["n_check"] == 6
 
     def test_x3_criterion_entries(self, x3_report):
         d = as_dict(x3_report)
@@ -232,6 +244,14 @@ class TestGoldenReports:
         tree = render_tree(analyze(spec)) + "\n"
         golden = (GOLDEN / name.replace(".fk", ".json")).read_bytes()
         assert tree.encode("utf-8") == golden
+
+    @pytest.mark.parametrize("name", _SELFTEST_FIXTURES)
+    def test_schema_doc_lists_the_golden_keys(self, name):
+        always, conditional = schema_doc_keys()
+        assert always and conditional and not always & conditional
+        keys = set(json.loads((GOLDEN / name.replace(".fk", ".json")).read_text()))
+        assert keys <= always | conditional, keys - always - conditional
+        assert always <= keys, always - keys
 
 
 def emit(value) -> str:
