@@ -66,9 +66,8 @@ class CoefficientSet(NamedTuple):
     proved polynomial for every n >= N (criteria.fit_tables gives the
     argument) and the table reaches N + fit-size - 1, so the fit holds for
     all n >= postulation and `window` is None. Without it (None) the fit is
-    window-validated: the run postulation..n_max has at least
-    fit-size + `window` points (window = d + 2 by default), and nothing
-    proves the agreement past n_max.
+    window-validated: the run postulation..n_max has at least fit-size +
+    `window` points (window = d + 2), and nothing proves it past n_max.
     """
 
     label: str                      # "E", "G" or "F"
@@ -111,7 +110,6 @@ def fit_coefficients(
     basis: Basis = Basis.STANDARD,
     *,
     certified_from: int | None = None,
-    window: int | None = None,
     label: str = "",
 ) -> CoefficientSet:
     """Read the alternating binomial polynomial off values[0..n_max] exactly.
@@ -126,8 +124,8 @@ def fit_coefficients(
     With certified_from = N (the sequence is known to be polynomial from N
     on), the fit is a proof once n_max >= N + deg; a shorter table is
     NOT_YET_POLYNOMIAL and the message names N. Otherwise the matching run
-    must be at least fit-size + window points (window defaults to d+2);
-    anything shorter is NOT_YET_POLYNOMIAL. Either message gives the remedy
+    must be at least fit-size + window points, window = d + 2; anything
+    shorter is NOT_YET_POLYNOMIAL. Either message gives the remedy
     (raise n_max).
     """
     deg = dim if basis is Basis.STANDARD else dim - 1
@@ -143,7 +141,7 @@ def fit_coefficients(
                 f"{certified_from + deg}, got n_max = {n_max}; raise n_max"
             )
     else:
-        window = dim + 2 if window is None else window
+        window = dim + 2
         if n_max + 1 < ncoef + window:
             raise NotYetPolynomialError(
                 f"need at least {ncoef + window} table values for a validated "

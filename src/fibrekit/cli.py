@@ -16,17 +16,15 @@ import os
 import sys
 from importlib import resources
 
-from .analysis import fiber_hilbert_series, fundamental_lemma_rows
+from .analysis import fiber_hilbert_series
 from .criteria import AnalysisReport, CriterionStatus, analyze, fit_tables
 from .errors import EXIT_OK, FibrekitError, InputError
-from .filtration import sum_window
 from .inputfile import load_spec
-from .reductions import DepthClass, classify_graded_depth, reduction_number
-from .reporting import as_dict, render_text, render_tree
+from .reductions import DepthClass, reduction_number
+from .reporting import render_text, render_tree
 
 log = logging.getLogger("fibrekit")
 
-_CHECK_TARGETS = ("cm-fiber", "depth-fiber", "min-mult", "depth-g")
 _CHECK_CRITERION = {
     "cm-fiber": "fiber-cohen-macaulay",
     "depth-fiber": "fiber-depth",
@@ -94,14 +92,9 @@ def _cmd_lemma(args) -> int:
     _, spec, n_max = _load(args)
     if spec.dim != 2:
         raise InputError("the second-difference identity table needs dimension 2")
-    spec.require_minimal_j()
-    reduction = reduction_number(spec)
-    table, coefficients = fit_tables(spec, n_max, reduction=reduction)
-    stop = max(table.n_max, sum_window(reduction.r, spec.dim))
-    rows = fundamental_lemma_rows(
-        spec, table, coefficients.e0, n_stop=stop, g=coefficients.g
-    )
-    out = [f"e_0 = {coefficients.e0}; identity rows for n = 2..{stop}:"]
+    report = analyze(spec, n_max=n_max)
+    rows = report.lemma_rows
+    out = [f"e_0 = {report.e0}; identity rows for n = 2..{rows[-1].n}:"]
     for row in rows:
         out.append(f"  n = {row.n:<3} lhs = {row.lhs:<6} rhs = {row.rhs:<6} equal")
     _emit(out)
@@ -121,7 +114,6 @@ def _cmd_series(args) -> int:
 
 def _cmd_reduction(args) -> int:
     _, spec = load_spec(_read_file(args.file))
-    spec.require_j()
     data = reduction_number(spec)
     out = [
         f"r = {data.r}",
@@ -134,20 +126,16 @@ def _cmd_reduction(args) -> int:
 
 def _cmd_check(args) -> int:
     _, spec, n_max = _load(args)
+    report = analyze(spec, n_max=n_max)
     if args.target == "depth-g":
-        spec.require_minimal_j()
-        data = reduction_number(spec)
-        table, coefficients = fit_tables(spec, n_max, reduction=data)
-        gd = classify_graded_depth(spec, coefficients.e1, data.r)
+        gd = report.graded_depth
         out = [
             f"graded depth: {gd.classification.value}",
             f"e_1 = {gd.e1}, cm sum = {gd.cm_sum}, depth sum = {gd.depth_sum}",
         ]
-        _emit(out)
-        return EXIT_OK
-    report = analyze(spec, n_max=n_max)
-    criterion = report.criterion(_CHECK_CRITERION[args.target])
-    _emit([str(criterion)], report, args.report)
+    else:
+        out = [str(report.criterion(_CHECK_CRITERION[args.target]))]
+    _emit(out, report, args.report)
     return EXIT_OK
 
 
@@ -281,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name, (_, help_text, flags) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         if name == "check":
-            p.add_argument("target", choices=_CHECK_TARGETS)
+            p.add_argument("target", choices=(*_CHECK_CRITERION, "depth-g"))
         if name != "selftest":
             p.add_argument("file", help="input description file")
         for flag in flags:

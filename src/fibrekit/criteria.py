@@ -30,13 +30,7 @@ from .analysis import (
     g1_from_lengths_dim1,
     v_sequence,
 )
-from .errors import (
-    InputError,
-    NotAReductionError,
-    NotYetPolynomialError,
-    TheoremViolationError,
-    UndeterminedReductionError,
-)
+from .errors import InputError, NotAReductionError, TheoremViolationError
 from .filtration import FiltrationSpec, HilbertTable, build_table, sum_window
 from .reductions import (
     DepthClass,
@@ -517,7 +511,7 @@ def fit_tables(
     dim = spec.dim
     j = spec.J
     if reduction is None and j is not None:
-        with suppress(NotAReductionError, UndeterminedReductionError):
+        with suppress(NotAReductionError):
             reduction = reduction_number(spec)
     if reduction is None or not reduction.is_minimal:
         pure = _pure_power_reduction(spec)
@@ -535,9 +529,9 @@ def fit_tables(
 def analyze(spec: FiltrationSpec, *, n_max: int | None = None) -> AnalysisReport:
     """Run the complete pipeline and return an immutable report.
 
-    Order: check mu(J) = dim (such a J is never undetermined), certify the
-    reduction, build the length table, fit coefficients, verify the identities,
-    compute the fiber series, classify graded depth, evaluate the criteria.
+    Order: check mu(J) = dim, certify the reduction, build the length table,
+    fit coefficients, verify the identities, compute the fiber series,
+    classify graded depth, evaluate the criteria.
     """
     spec.require_minimal_j()
     reduction = reduction_number(spec)

@@ -65,10 +65,6 @@ class NotAReductionError(ComputationError):
     """J is certified not a reduction: no r has I_{n+1} = J * I_n from n = r on."""
 
 
-class UndeterminedReductionError(ComputationError):
-    """The rule read off the ideals cannot decide whether J is a reduction."""
-
-
 class UndeterminedSumError(ComputationError):
     """An infinite length sum whose tail did not vanish inside the checked
     window; refusing to truncate silently."""

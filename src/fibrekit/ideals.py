@@ -301,40 +301,48 @@ class MonomialIdeal(_Power):
     def minimal_generators(self) -> tuple:
         return self.gens
 
-    def is_reduction_of(self, big) -> bool | None:
-        """Is self, inside the m-primary ideal big, a reduction of it? None
-        when undecided. By the Newton polyhedron (Huneke-Swanson, ch. 1),
-        with pure powers x_i^a_i in self and L = lcm(a_i): yes when each
-        generator u of big is in self or has sum u_i L/a_i >= L; no when self
-        lacks a pure power or consists of exactly those pure powers."""
+    def is_reduction_of(self, big) -> bool:
+        """Is self, inside big, a reduction of it? Exactly when every
+        generator u of big lies in NP(self) = conv(exponents) + R^d_>=0
+        (Huneke-Swanson 1.2, 1.4): w.u >= min over self's generators v of
+        w.v for each facet normal w >= 0. A facet normal is positive on its
+        support A and normal to |A| generators projected to A, so every such
+        cofactor normal is tested (a non-facet one is still a valid bound).
+        An A where some generator projects to 0 only gives w.u >= 0 and is
+        skipped; for pure powers x_i^a_i this leaves sum u_i/a_i >= 1. The
+        zero ideal has no facet and reduces only the zero ideal."""
         self._check(big)
-        a = self.pure_powers()
-        if a is None:
-            return False
-        lcm = math.lcm(*a)
-        w = [lcm // e for e in a]
+        if self.is_zero:
+            return big.is_zero
         rest = _outside(self.gens, big.gens)
-        if all(sum(map(operator.mul, u, w)) >= lcm for u in rest):
-            return True
-        return False if len(self.gens) == len(a) else None
+        d = self.ring.dim
+        supports = {sum(1 << i for i, e in enumerate(v) if e) for v in self.gens}
+        for mask in range(1, 1 << d):
+            if not all(s & mask for s in supports):
+                continue
+            axes = [i for i in range(d) if mask >> i & 1]
+            pts = {tuple(v[i] for i in axes) for v in self.gens}
+            for face in itertools.combinations(pts, len(axes)):
+                w = _cofactor_normal(face)
+                w = [-c for c in w] if w[0] < 0 else w
+                if min(w) > 0:
+                    floor = min(sum(map(operator.mul, w, p)) for p in pts)
+                    w = [w[axes.index(i)] if i in axes else 0 for i in range(d)]
+                    if any(sum(map(operator.mul, w, u)) < floor for u in rest):
+                        return False
+        return True
 
     # -- colength -----------------------------------------------------------
 
     def pure_powers(self):
-        """Per-axis least pure-power exponent, or None if some axis has no
-        pure power (colength infinite)."""
-        d = self.ring.dim
+        """Per-axis pure-power exponent, or None if some axis has no pure
+        power (colength infinite). An antichain has at most one per axis."""
         box = []
-        for i in range(d):
-            best = None
-            for g in self.gens:
-                if g[i] == 0 and any(g):
-                    continue
-                if all(g[j] == 0 for j in range(d) if j != i):
-                    best = g[i] if best is None else min(best, g[i])
-            if best is None:
+        for i in range(self.ring.dim):
+            on_axis = [g[i] for g in self.gens if not any(g[:i] + g[i + 1:])]
+            if not on_axis:
                 return None
-            box.append(best)
+            box.append(on_axis[0])
         return box
 
     def colength(self):
@@ -356,6 +364,25 @@ class MonomialIdeal(_Power):
                 f"colength routes disagree on {self}: {routes}"
             )
         return routes["slice"]
+
+
+def _cofactor_normal(face) -> list:
+    """Integer normal w of the hyperplane through the k points q of face in
+    Z^k: the signed maximal minors of q_2 - q_1, ..., q_k - q_1, all 0 when
+    the points are affinely dependent."""
+    rows = [[a - b for a, b in zip(q, face[0])] for q in face[1:]]
+    return [(-1) ** i * _det([r[:i] + r[i + 1:] for r in rows]) for i in range(len(face))]
+
+
+def _det(rows) -> int:
+    """Determinant of a square integer matrix by cofactor expansion."""
+    if not rows:
+        return 1
+    return sum(
+        (-1) ** j * a * _det([r[:j] + r[j + 1:] for r in rows[1:]])
+        for j, a in enumerate(rows[0])
+        if a
+    )
 
 
 def _intersect_plane(ga: tuple, gb: tuple) -> tuple:
@@ -641,8 +668,11 @@ class SemigroupIdeal(_Power):
 
     def is_reduction_of(self, big) -> bool:
         """Is self, inside big, a reduction of it? The integral closure of I in
-        k[[S]] is every f with v(f) >= v(I): yes iff both have the same least v."""
+        k[[S]] is every f with v(f) >= v(I): yes iff both have the same least v.
+        The zero ideal reduces only the zero ideal."""
         self._check(big)
+        if self.is_zero or big.is_zero:
+            return big.is_zero
         return self.minimal_generators()[0] == big.minimal_generators()[0]
 
     def colength(self):

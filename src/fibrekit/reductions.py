@@ -24,7 +24,6 @@ from .errors import (
     InternalInconsistencyError,
     NotAReductionError,
     TheoremViolationError,
-    UndeterminedReductionError,
 )
 from .filtration import FiltrationSpec, sum_window
 
@@ -48,8 +47,8 @@ def reduction_number(spec: FiltrationSpec, j=None) -> ReductionData:
     J is the spec's own (its products J I_n cached on the spec) unless `j`
     names another candidate. J is first decided on I_1 (`is_reduction_of`):
     past the N explicit terms I_{n+1} = I_1 I_n, so J reduces the filtration
-    iff it reduces I_1. A J certified not a reduction, or undecided, raises
-    before any product. For a reduction the search stops: past I_N one step
+    iff it reduces I_1. A J that is not a reduction raises before any
+    product. For a reduction the search stops: past I_N one step
     J I_m = I_{m+1} pushes forward (J I_{m+1} = J I_1 I_m = I_1 (J I_m) =
     I_{m+2}), and J I_1^s = I_1^{s+1} gives the step at m = N + s.
     """
@@ -57,13 +56,8 @@ def reduction_number(spec: FiltrationSpec, j=None) -> ReductionData:
         j, jterm = spec.require_j(), spec.jterm
     else:
         jterm = functools.cache(lambda n: j * spec.term(n))
-    verdict = j.is_reduction_of(spec.I)
-    if verdict is False:
+    if not j.is_reduction_of(spec.I):
         raise NotAReductionError(f"J = {j} is not a reduction of I_1 = {spec.I}")
-    if verdict is None:
-        raise UndeterminedReductionError(
-            f"whether J = {j} is a reduction of I_1 = {spec.I} is undetermined"
-        )
     explicit = len(spec.explicit)
     for r in itertools.count():
         # J I_n and I_n are cached on the spec, so a repeated step is one ==

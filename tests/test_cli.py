@@ -12,10 +12,10 @@ from conftest import write_fixture
 X3 = "x3_x2y_y3.fk"
 X4 = "x4_x3y_xy3_y4.fk"
 SG = "semigroup_4567.fk"
-# xy lies below the simplex of x^4, y^4, and J has x^2 y^2 besides them:
-# the reduction rule cannot decide this J
-UNDECIDED_I = "ring powerseries x y\nI [4,0] [1,1] [0,4]\n"
-UNDECIDED_J = "J [4,0] [2,2] [0,4]\n"
+# J has x^2 y^2 besides x^4, y^4, and xy lies below its Newton polyhedron
+# x + y >= 4: the reduction rule certifies that J is not a reduction
+NON_REDUCTION_I = "ring powerseries x y\nI [4,0] [1,1] [0,4]\n"
+NON_REDUCTION_J = "J [4,0] [2,2] [0,4]\n"
 
 
 def run(capsys, *argv):
@@ -238,20 +238,19 @@ class TestSmallCommands:
         assert (code, out) == (1, "")
         assert "not a reduction" in err
 
-    def test_reduction_undetermined(self, tmp_path, capsys):
-        path = tmp_path / "open.fk"
-        path.write_text(UNDECIDED_I + UNDECIDED_J)
+    def test_reduction_decided_by_the_newton_polyhedron(self, tmp_path, capsys):
+        path = tmp_path / "no_hull.fk"
+        path.write_text(NON_REDUCTION_I + NON_REDUCTION_J)
         code, out, err = run(capsys, "reduction", str(path))
         assert (code, out) == (1, "")
-        assert "undetermined" in err
-        assert "not a reduction" not in err
+        assert "not a reduction" in err
 
-    def test_coeffs_ignore_an_undetermined_j(self, tmp_path, capsys):
+    def test_coeffs_ignore_a_j_that_is_not_a_reduction(self, tmp_path, capsys):
         # the table starts from r = 0, as without a J
         with_j = tmp_path / "open.fk"
-        with_j.write_text(UNDECIDED_I + UNDECIDED_J)
+        with_j.write_text(NON_REDUCTION_I + NON_REDUCTION_J)
         without_j = tmp_path / "plain.fk"
-        without_j.write_text(UNDECIDED_I)
+        without_j.write_text(NON_REDUCTION_I)
         code, out, err = run(capsys, "coeffs", str(with_j))
         assert (code, err) == (0, "")
         assert run(capsys, "coeffs", str(without_j)) == (0, out, "")
@@ -295,14 +294,17 @@ class TestCheckCommand:
         data = json.loads(report_path.read_text())
         assert data["coefficients"]["e"] == [9, 3, 1]
 
-    def test_depth_g_does_not_write_report(self, tmp_path, capsys):
+    def test_depth_g_writes_the_analyze_report(self, tmp_path, capsys):
         path = write_fixture(tmp_path, X3)
-        report_path = tmp_path / "never.json"
+        analyze_path = tmp_path / "analyze.json"
+        depth_path = tmp_path / "depth.json"
+        code, _, _ = run(capsys, "analyze", str(path), "--report", str(analyze_path))
+        assert code == 0
         code, _, _ = run(
-            capsys, "check", "depth-g", str(path), "--report", str(report_path)
+            capsys, "check", "depth-g", str(path), "--report", str(depth_path)
         )
         assert code == 0
-        assert not report_path.exists()
+        assert depth_path.read_text() == analyze_path.read_text()
 
     def test_unknown_target_is_usage_error(self, tmp_path, capsys):
         path = write_fixture(tmp_path, X3)

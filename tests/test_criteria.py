@@ -40,7 +40,8 @@ class TestAnalyzeValidation:
         assert "minimal reduction" in str(err.value)
 
     def test_generator_count_is_checked_before_the_search(self, monkeypatch):
-        # an undecided J: analyze rejects it for its size, never reaching the rule
+        # a J with three generators: analyze rejects it for its size, never
+        # reaching the rule
         ring = PowerSeriesRing("x", "y")
         i = ring.ideal([(4, 0), (1, 1), (0, 4)])
         spec = FiltrationSpec(i, J=ring.ideal([(4, 0), (2, 2), (0, 4)]))

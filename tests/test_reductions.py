@@ -13,7 +13,6 @@ from fibrekit import (
     PowerSeriesRing,
     SemigroupRing,
     TheoremViolationError,
-    UndeterminedReductionError,
     analyze,
     classify_graded_depth,
     fiber_regular_sequence_check,
@@ -136,17 +135,19 @@ class TestReductionRule:
         i = ring.ideal([(2, 0), (1, 1), (0, 2)])
         assert ring.ideal([(2, 0), (1, 1)]).is_reduction_of(i) is False
 
-    def test_undecided_j_is_never_called_a_non_reduction(self):
-        # J has x^2 y^2 besides its pure powers, and xy lies below their simplex
+    def test_j_beside_its_pure_powers_is_decided_by_its_hull(self, monkeypatch):
+        # J has x^2 y^2 besides its pure powers, and xy lies below NP(J):
+        # x + y >= 4, so J is certified not a reduction before any step
         ring = PowerSeriesRing("x", "y")
         i = ring.ideal([(4, 0), (1, 1), (0, 4)])
         j = ring.ideal([(4, 0), (2, 2), (0, 4)])
-        assert j.is_reduction_of(i) is None
-        with pytest.raises(UndeterminedReductionError) as err:
-            reduction_number(FiltrationSpec(i, J=j))
+        assert j.is_reduction_of(i) is False
+        spec = FiltrationSpec(i, J=j)
+        forbid_search(monkeypatch, spec)
+        with pytest.raises(NotAReductionError) as err:
+            reduction_number(spec)
         assert err.value.exit_code == 1
-        assert "not a reduction" not in str(err.value)
-        assert "undetermined" in str(err.value)
+        assert "not a reduction" in str(err.value)
 
     def test_extra_generators_in_j_still_certify(self):
         # (x^3, x^2 y, y^3) over its pure powers: every J between them reduces
