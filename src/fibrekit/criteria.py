@@ -31,7 +31,7 @@ from .analysis import (
     v_sequence,
 )
 from .errors import InputError, NotAReductionError, TheoremViolationError
-from .filtration import FiltrationSpec, HilbertTable, build_table, sum_window
+from .filtration import FiltrationSpec, HilbertTable, build_table
 from .reductions import (
     DepthClass,
     GradedDepth,
@@ -162,7 +162,7 @@ def check_g1_lower_bound(
         lhs=g1,
         rhs=s_low,
         note="g_1 >= lower length sum",
-        bound=sum_window(reduction.r, spec.dim),
+        bound=reduction.checked_through + 1,
     )
 
 
@@ -179,7 +179,7 @@ def check_g1_upper_bound(
         lhs=g1,
         rhs=s_up,
         note="g_1 <= upper length sum" if ok else "upper length sum exceeded",
-        bound=sum_window(reduction.r, spec.dim),
+        bound=reduction.checked_through + 1,
     )
 
 
@@ -216,7 +216,7 @@ def _gated_equality(
         lhs=g1,
         rhs=rhs,
         note=note,
-        bound=sum_window(reduction.r, spec.dim),
+        bound=reduction.checked_through + 1,
     )
 
 
@@ -370,7 +370,7 @@ def check_minimal_multiplicity_equivalences(
     are equivalent. Each is evaluated independently; disagreement is a bug.
     Returns (CriterionResult, EquivalenceConditions or None).
     """
-    vv = valabrega_valla(spec)
+    vv = valabrega_valla(spec, reduction)
     graded_cm = graded_depth.classification is DepthClass.CM
     if vv.ok != graded_cm:
         raise TheoremViolationError(
@@ -542,7 +542,7 @@ def analyze(spec: FiltrationSpec, *, n_max: int | None = None) -> AnalysisReport
     v = None
     lemma = ()
     if spec.dim == 2:
-        stop = max(table.n_max, sum_window(reduction.r, spec.dim))
+        stop = max(table.n_max, reduction.r + 4)
         lemma = fundamental_lemma_rows(
             spec, table, coefficients.e0, n_stop=stop, g=coefficients.g
         )
@@ -571,7 +571,7 @@ def analyze(spec: FiltrationSpec, *, n_max: int | None = None) -> AnalysisReport
                 lhs=g1_onedim_value,
                 rhs=coefficients.g1,
                 note="dimension-1 length formula agrees with the fit",
-                bound=sum_window(reduction.r, spec.dim),
+                bound=reduction.checked_through + 1,
             )
         )
 

@@ -66,8 +66,8 @@ class NotAReductionError(ComputationError):
 
 
 class UndeterminedSumError(ComputationError):
-    """An infinite length sum whose tail did not vanish inside the checked
-    window; refusing to truncate silently."""
+    """An infinite length sum whose tail is not certified to vanish past
+    the claimed reduction number; refusing to truncate silently."""
 
 
 class InfiniteLengthError(ComputationError):

@@ -19,7 +19,7 @@ H_F(n) = len(I_n/K I_n) = H_K(n) - H(n), after checking K I_n <= I_n.
 The spec also keeps the length ledger: every length the criteria, the
 identities and the depth classifier compare, computed once per degree and
 memoized by (entry, n), with each entry's certified sum over n >= 1
-(bounded_sum) memoized by (entry, r). The entries at degree n:
+(length_sum) memoized by (entry, r). The entries at degree n:
 
 * "K colength": len(R / K I_n); at n = 0 it is len(R/K);
 * "K lower":    len((K I_n + J) / J);
@@ -32,7 +32,7 @@ memoized by (entry, n), with each entry's certified sum over n >= 1
 At n >= 1 the entries "K lower", "K upper", "K cm" and "G cm" first read
 "G depth" at n, which is always computed, and are recorded as 0 without
 building their ideals when it is 0: then I_n = J I_{n-1}, and each of the
-four quotients is zero for every n, K and filtration (proof in bounded_sum).
+four quotients is zero for every n, K and filtration (proof in length_sum).
 Under ideals.CROSS_CHECK each implied 0 is also computed directly.
 
 Only the integers are memoized; the ideals come from the term caches.
@@ -43,7 +43,7 @@ len(R/K) is the table's own H_K(0) and is not computed again.
 from __future__ import annotations
 
 import logging
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 from . import ideals
 from .errors import (
@@ -66,44 +66,12 @@ _LEDGER = {
     "colon": lambda s, n: (s.kterm(n - 1).colon(s.require_j()), s.kterm(n - 2)),
 }
 
-# entries that are 0 at any n >= 1 where "G depth" is 0 (see bounded_sum)
+# entries that are 0 at any n >= 1 where "G depth" is 0 (see length_sum)
 _IMPLIED_BY_G_DEPTH = frozenset(("K lower", "K upper", "K cm", "G cm"))
+# entries whose sum over n >= 1 stops at the reduction number
+_SUMMABLE = _IMPLIED_BY_G_DEPTH | {"G depth"}
 
 _log = logging.getLogger(__name__)
-
-
-def sum_window(reduction_number: int, dim: int) -> int:
-    """Last degree a certified length sum inspects."""
-    return reduction_number + dim + 2
-
-
-def bounded_sum(term: Callable[[int], int], reduction_number: int, dim: int) -> int:
-    """Sum term(n) for n >= 1, certified finite.
-
-    Every summand with reduction_number < n <= sum_window(reduction_number,
-    dim) must vanish identically; a nonzero tail raises UNDETERMINED rather
-    than truncating silently.
-
-    For the ledger's sums (FiltrationSpec.length_sum) the tail is certified
-    by "G depth" at each degree of the window, computed there from I_n and
-    J I_{n-1}. Where it is 0, I_n = J I_{n-1}, which gives
-      K I_n = K J I_{n-1},
-      I_n <= J,
-      K I_n <= I_n = J I_{n-1},
-    so "K lower", "K upper", "K cm" and "G cm" vanish at n without their
-    ideals being built. The rule never uses reduction_number, so a claimed
-    reduction number that is too small still meets a nonzero summand.
-    """
-    total = 0
-    for n in range(1, sum_window(reduction_number, dim) + 1):
-        v = term(n)
-        if n > reduction_number and v != 0:
-            raise UndeterminedSumError(
-                f"length sum does not terminate: summand at n = {n} is {v} "
-                f"although the reduction number is {reduction_number}"
-            )
-        total += v
-    return total
 
 
 class FiltrationSpec:
@@ -259,25 +227,51 @@ class FiltrationSpec:
         return got
 
     def length_sum(self, name: str, reduction_number: int) -> int:
-        """Certified sum over n >= 1 of the ledger entry `name`."""
+        """Certified sum over n >= 1 of the ledger entry `name`: the entry
+        is added up over n = 1..r (r = reduction_number) only.
+
+        The tail is certified by "G depth" at n = r+1 .. max(r, N) + 1 (N
+        explicit terms), the degrees reduction_number checks, and a nonzero
+        value raises UNDETERMINED rather than truncating silently. Where it
+        is 0, I_n = J I_{n-1}; one such step at n - 1 >= N carries forward
+        (I_{n+1} = I_1 I_n = J I_1 I_{n-1} = J I_n), so I_n = J I_{n-1}
+        for every n > r. That gives
+          K I_n = K J I_{n-1},
+          I_n <= J,
+          K I_n <= I_n = J I_{n-1},
+        so "K lower", "K upper", "K cm" and "G cm" vanish past r along with
+        "G depth" itself. The certificate never trusts reduction_number, so
+        a claimed reduction number that is too small meets a nonzero "G
+        depth" in the checked degrees. Under ideals.CROSS_CHECK the entry
+        itself is also computed at r < n <= r + d + 2, and a nonzero value
+        raises InternalInconsistencyError.
+        """
         key = (name, reduction_number)
         got = self._sums.get(key)
         if got is None:
-            got = bounded_sum(
-                lambda n: self.length(name, n), reduction_number, self.dim
-            )
-            self._sums[key] = got
-            if _log.isEnabledFor(logging.DEBUG):
-                window = sum_window(reduction_number, self.dim)
-                implied = 0
-                if name in _IMPLIED_BY_G_DEPTH:
-                    implied = sum(
-                        self.length("G depth", n) == 0 for n in range(1, window + 1)
+            if name not in _SUMMABLE:
+                raise InputError(f"{name!r} does not vanish past the reduction number")
+            r = reduction_number
+            got = sum(self.length(name, n) for n in range(1, r + 1))
+            last = max(r, len(self.explicit)) + 1
+            for n in range(r + 1, last + 1):
+                v = self.length("G depth", n)
+                if v:
+                    raise UndeterminedSumError(
+                        f"length sum {name!r} does not terminate: len(I_n / J I_(n-1)) "
+                        f"at n = {n} is {v} although the reduction number is {r}"
                     )
-                _log.debug(
-                    "length sum %r over n = 1..%d is %d; %d of %d summands read off G depth",
-                    name, window, got, implied, window,
-                )
+            if ideals.CROSS_CHECK:
+                for n in range(r + 1, r + self.dim + 3):
+                    if self.length(name, n):
+                        raise InternalInconsistencyError(
+                            f"{name!r} at n = {n} is nonzero although n > r = {r}"
+                        )
+            self._sums[key] = got
+            _log.debug(
+                "length sum %r over n = 1..%d is %d; G depth is 0 at n = %d..%d",
+                name, r, got, r + 1, last,
+            )
         return got
 
     def g1_sum(self, name: str, reduction_number: int) -> int:

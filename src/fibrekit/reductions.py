@@ -25,7 +25,7 @@ from .errors import (
     NotAReductionError,
     TheoremViolationError,
 )
-from .filtration import FiltrationSpec, sum_window
+from .filtration import FiltrationSpec
 
 
 class ReductionData(NamedTuple):
@@ -169,25 +169,30 @@ class SequenceCheck(NamedTuple):
     n_checked: int
 
 
-def valabrega_valla(spec: FiltrationSpec) -> SequenceCheck:
+def valabrega_valla(
+    spec: FiltrationSpec, reduction: ReductionData | None = None
+) -> SequenceCheck:
     """Valabrega-Valla: the associated graded ring is Cohen-Macaulay iff
     J cap I_n = J I_{n-1} for every n >= 1.
 
-    The certificate is complete at the reduction number r: for n > r the
-    certified step I_n = J I_{n-1} puts I_n inside J, so J cap I_n = I_n =
-    J I_{n-1}. Only 1 <= n <= r is compared. Under ideals.CROSS_CHECK the
-    implied degrees r < n <= sum_window(r, d) are compared too, and a
-    difference raises InternalInconsistencyError.
+    The certificate is complete at the reduction number r (`reduction`, the
+    spec's own, certified here when not given): for n > r the certified
+    step I_n = J I_{n-1} puts I_n inside J, so J cap I_n = I_n = J I_{n-1}.
+    Only 1 <= n <= r is compared. Under ideals.CROSS_CHECK the implied
+    degrees r < n <= r + d + 2 are compared too, and a difference raises
+    InternalInconsistencyError.
     """
     j = spec.require_j()
-    r = reduction_number(spec).r
+    if reduction is None:
+        reduction = reduction_number(spec)
+    r = reduction.r
 
     def holds(n: int) -> bool:
         return j.intersect(spec.term(n)) == spec.jterm(n - 1)
 
     failed_at = next((n for n in range(1, r + 1) if not holds(n)), None)
     if ideals.CROSS_CHECK:
-        for n in range(r + 1, sum_window(r, spec.dim) + 1):
+        for n in range(r + 1, r + spec.dim + 3):
             if not holds(n):
                 raise InternalInconsistencyError(
                     f"J cap I_{n} differs from J I_{n - 1} although n > r = {r}"

@@ -7,21 +7,23 @@ import pytest
 import fibrekit.analysis
 from fibrekit import (
     Basis,
+    FiltrationSpec,
     HilbertSeries,
     HilbertTable,
     InternalInconsistencyError,
     NotYetPolynomialError,
+    PowerSeriesRing,
     TheoremViolationError,
     UndeterminedSumError,
     VSequence,
     binomial,
-    bounded_sum,
     build_table,
     coefficient_report,
     fiber_hilbert_series,
     fit_coefficients,
     fundamental_lemma_rows,
     g1_from_lengths_dim1,
+    quotient_length,
     v_sequence,
 )
 from fibrekit.analysis import basis_row
@@ -184,16 +186,27 @@ class TestCoefficientReport:
 
 
 class TestBoundedSum:
+    """FiltrationSpec.length_sum adds an entry up over n = 1..r and certifies
+    the tail past r."""
+
     def test_sums_through_the_reduction_number(self):
-        assert bounded_sum(lambda n: 5 if n <= 2 else 0, 2, 2) == 10
+        spec = make_x3_spec()
+        k, j = spec.K, spec.J
+        want = sum(
+            quotient_length(k * spec.term(n), k * j * spec.term(n - 1)) for n in (1, 2)
+        )
+        assert spec.length_sum("K upper", 2) == want
 
     def test_zero_tail_past_r_is_accepted(self):
-        assert bounded_sum(lambda n: 0, 0, 1) == 0
+        i = PowerSeriesRing("x", "y").ideal([(2, 0), (0, 2)])
+        spec = FiltrationSpec(i, J=i)
+        assert spec.length_sum("G depth", 0) == 0
+        assert spec.length_sum("K upper", 0) == 0
 
     def test_nonzero_tail_raises(self):
         with pytest.raises(UndeterminedSumError) as err:
-            bounded_sum(lambda n: 1, 2, 2)
-        assert "n = 3" in str(err.value)
+            make_sg_spec().length_sum("K upper", 1)
+        assert "n = 2" in str(err.value)
 
 
 class TestVSequence:

@@ -6,6 +6,10 @@ reads the spans in SPANS and `criteria.fit_tables` off the tracer. A rename
 in the package breaks them without failing any other test, so this runs the
 tracer and the per-layer metrics on two analyses, importing both files as
 they are. The d = 3 input makes the colength hook read the generator cap.
+
+The benchmark also checks every analysis against its committed results in
+`bench/reference/`; the last test runs that check on every input of every
+workload, so a change that alters a checked result fails here first.
 """
 
 import json
@@ -60,3 +64,18 @@ def test_tracer_and_layer_metrics_run_on_the_package(bench_modules):
     assert metrics["criteria.analyze.calls"] == (2, "count")
     assert metrics["reporting.render_tree.calls"] == (2, "count")
     assert tracer.stats["criteria.fit_tables"][0] == 2
+
+
+def test_every_workload_input_matches_its_reference(bench_modules):
+    run, _ = bench_modules
+    import workloads
+
+    for name in workloads.WORKLOADS:
+        reference = run.load_reference(name)
+        inputs = workloads.fixed_inputs(name)
+        # the reference holds each distinct input of the workload, no more
+        assert {inp.text for inp in inputs} == set(reference)
+        for inp in inputs:
+            spec = fibrekit.load_spec(inp.text)[1]
+            tree = json.loads(fibrekit.render_tree(fibrekit.analyze(spec)))
+            assert run.check(inp, tree, reference[inp.text]) == [], (name, inp.text)

@@ -16,13 +16,19 @@ from fibrekit import (
     SemigroupRing,
     UndeterminedSumError,
     analyze,
-    bounded_sum,
     build_table,
+    load_spec,
     quotient_length,
+    reduction_number,
     render_tree,
 )
-from fibrekit.filtration import sum_window
-from conftest import colength_cross_check, make_sg_spec, make_x3_spec, make_x4_spec
+from conftest import (
+    colength_cross_check,
+    fixture_text,
+    make_sg_spec,
+    make_x3_spec,
+    make_x4_spec,
+)
 from test_certified_tail import semigroup_corpus_specs
 from test_space_corpus import SPACE_CORPUS, space_corpus_spec
 
@@ -242,22 +248,20 @@ class TestLengthLedger:
         assert computed == [("colon", n) for n in range(2, 6)]
         assert len(calls) == 4
 
-    def test_length_sum_is_the_memoized_bounded_sum(self, monkeypatch):
+    def test_length_sum_is_memoized_and_stops_at_r(self, monkeypatch):
         spec = make_x4_spec()
-        want = bounded_sum(lambda n: direct_entry(spec, "K upper", n), 2, 2)
+        want = sum(direct_entry(spec, "K upper", n) for n in (1, 2))
         computed, _ = count_ledger(monkeypatch)
         assert spec.length_sum("K upper", 2) == want
         assert spec.length_sum("K upper", 2) == want
-        # "G depth" is read first at each n; it is 0 from n = 3 on
+        # "G depth" is read first at each n <= r, then at r + 1 alone: the
+        # degree past the one explicit term where reduction_number stops
         assert computed == [
             ("G depth", 1),
             ("K upper", 1),
             ("G depth", 2),
             ("K upper", 2),
             ("G depth", 3),
-            ("G depth", 4),
-            ("G depth", 5),
-            ("G depth", 6),
         ]
         assert spec.g1_sum("K upper", 2) == want - spec.length("K colength", 0)
 
@@ -268,6 +272,26 @@ class TestLengthLedger:
         assert spec.length("G depth", 2) != 0
         with pytest.raises(UndeterminedSumError):
             spec.length_sum("G depth", 1)
+
+    def test_length_sum_checks_every_explicit_degree(self):
+        # I_1 = J = (x^2, y^2), I_2 = I_1^2 and I_3 = I_1^3 + (x^3 y^3):
+        # I_2 = J I_1 holds but I_3 = J I_2 fails, so the reduction number
+        # is 3; a claimed r = 1 must be refused at n = 3, not only at r + 1
+        ring = plane()
+        i = ring.ideal([(2, 0), (0, 2)])
+        terms = (i, i * i, i * i * i + ring.ideal([(3, 3)]))
+        spec = FiltrationSpec(i, J=i, truncated_terms=terms)
+        assert reduction_number(spec).r == 3
+        assert spec.length("G depth", 2) == 0
+        assert spec.length("G depth", 3) != 0
+        with pytest.raises(UndeterminedSumError) as err:
+            spec.length_sum("G cm", 1)
+        assert "n = 3" in str(err.value)
+        assert spec.length_sum("G depth", 3) == spec.length("G depth", 3)
+
+    def test_length_sum_refuses_an_entry_without_a_certified_tail(self):
+        with pytest.raises(InputError):
+            make_x3_spec().length_sum("colon", 2)
 
     def test_entries_need_j(self):
         spec = FiltrationSpec(plane().ideal([(2, 0), (0, 2)]))
@@ -286,6 +310,19 @@ class TestLengthLedger:
         analyze(make())
         assert len(computed) == len(set(computed))
         assert len(calls) == len(computed) < parent_calls
+
+    @pytest.mark.parametrize(
+        "spec",
+        [space_corpus_spec(gens) for gens in SPACE_CORPUS]
+        + [load_spec(fixture_text("semigroup_4567.fk"))[1]],
+        ids=[f"space-{i}" for i in range(len(SPACE_CORPUS))] + ["semigroup"],
+    )
+    def test_analyze_builds_no_term_past_the_certificate(self, spec):
+        report = analyze(spec)
+        reduction = report.reduction
+        assert max(spec._terms) <= max(report.table.n_max, reduction.r + 1)
+        # J I_n is built only where reduction_number compares it with I_(n+1)
+        assert max(spec._jterms) <= reduction.checked_through
 
 
 IMPLIED = ("K lower", "K upper", "K cm", "G cm")
@@ -315,12 +352,12 @@ class TestImpliedEntries:
         corpus = request.getfixturevalue("corpus") if kind == "plane" else None
         implied = 0
         for spec, r in corpus_specs(kind, corpus):
-            for n in range(1, sum_window(r, spec.dim) + 1):
+            for n in range(1, r + spec.dim + 3):
                 implied += spec.length("G depth", n) == 0
                 for name in IMPLIED:
                     want = direct_entry(spec, name, n)
                     assert spec.length(name, n) == want, (spec, name, n)
-        # every corpus reaches the rule: each window runs past r
+        # every corpus reaches the rule: each range runs past r
         assert implied > 0
 
     @pytest.mark.parametrize("make", [make_x3_spec, make_sg_spec])
@@ -336,11 +373,11 @@ class TestImpliedEntries:
         spec = make_x3_spec()
         computed, _ = count_ledger(monkeypatch)
         with colength_cross_check():
-            assert spec.length_sum("K upper", 2) == bounded_sum(
-                lambda n: direct_entry(spec, "K upper", n), 2, 2
+            assert spec.length_sum("K upper", 2) == sum(
+                direct_entry(spec, "K upper", n) for n in (1, 2)
             )
-        window = range(1, sum_window(2, 2) + 1)
-        assert [n for name, n in computed if name == "K upper"] == list(window)
+        # summed at 1..r, checked at r < n <= r + d + 2
+        assert [n for name, n in computed if name == "K upper"] == list(range(1, 7))
 
     @pytest.mark.parametrize("name", IMPLIED)
     def test_cross_check_catches_a_nonzero_implied_entry(self, monkeypatch, name):
@@ -368,8 +405,8 @@ class TestLedgerLogging:
             ("fibrekit.filtration", logging.DEBUG)
         ] * 2
         assert [r.getMessage() for r in caplog.records] == [
-            "length sum 'K upper' over n = 1..6 is 3; 4 of 6 summands read off G depth",
-            "length sum 'G depth' over n = 1..6 is 7; 0 of 6 summands read off G depth",
+            "length sum 'K upper' over n = 1..2 is 3; G depth is 0 at n = 3..3",
+            "length sum 'G depth' over n = 1..2 is 7; G depth is 0 at n = 3..3",
         ]
 
     def test_logging_leaves_the_report_as_it_is(self, caplog):

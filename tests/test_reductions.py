@@ -13,19 +13,21 @@ from fibrekit import (
     PowerSeriesRing,
     SemigroupRing,
     TheoremViolationError,
+    SemigroupIdeal,
     analyze,
     classify_graded_depth,
     fiber_regular_sequence_check,
     fit_tables,
+    load_spec,
     probe_fiber_regular,
     probe_fiber_superficial,
     reduction_number,
     valabrega_valla,
 )
-from fibrekit.filtration import sum_window
 from conftest import (
     colength_cross_check,
     corpus_candidates,
+    fixture_text,
     forbid_search,
     make_sg_spec,
     make_x3_spec,
@@ -325,7 +327,7 @@ class TestSequenceChecks:
         # there has classic minimal multiplicity), so it is called directly
         r = reduction_number(spec).r
         compared = list(range(1, (valabrega_valla(spec).failed_at or r) + 1))
-        implied = list(range(r + 1, sum_window(r, spec.dim) + 1))
+        implied = list(range(r + 1, r + spec.dim + 3))
         degrees = _j_intersection_degrees(monkeypatch, spec, implied[-1])
         with colength_cross_check():
             run(spec)
@@ -333,6 +335,21 @@ class TestSequenceChecks:
         degrees.clear()
         valabrega_valla(spec)
         assert degrees == compared
+
+    def test_analyze_decides_j_once(self, monkeypatch):
+        # analyze hands its ReductionData to the certificate, which would
+        # otherwise certify the reduction a second time
+        calls = []
+        original = SemigroupIdeal.is_reduction_of
+
+        def counted(self, big):
+            calls.append(big)
+            return original(self, big)
+
+        monkeypatch.setattr(SemigroupIdeal, "is_reduction_of", counted)
+        report = analyze(load_spec(fixture_text("semigroup_4567.fk"))[1])
+        assert report.criterion("minimal-multiplicity-equivalences")
+        assert len(calls) == 1
 
     def test_cross_check_raises_on_a_wrong_implied_degree(self, monkeypatch):
         spec = make_sg_spec()

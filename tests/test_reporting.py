@@ -99,7 +99,8 @@ class TestAsDict:
             "lhs": 0,
             "rhs": 0,
             "note": "g_1 >= lower length sum",
-            "bound": 6,
+            # the last degree read: "G depth" at checked_through + 1 = r + 1
+            "bound": 3,
         }
         by_name = {c["name"]: c for c in d["criteria"]}
         assert by_name["minimal-multiplicity"]["status"] == "FAIL"
