@@ -237,13 +237,6 @@ class VSequence(NamedTuple):
     g1: int
     g2: int
 
-    def last_nonzero(self) -> int:
-        idx = 0
-        for n, v in enumerate(self.values):
-            if v:
-                idx = n
-        return idx
-
 
 def v_sequence(
     spec: FiltrationSpec,

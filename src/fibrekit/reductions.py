@@ -1,11 +1,9 @@
-"""Reduction numbers, element probes, and depth classification.
+"""Reduction numbers, the Valabrega-Valla check, and depth classification.
 
 Everything here is a finite, certified check:
 
 * whether J is a reduction is read off the ideals, and the reduction number
   search proves its r (the filtration's recursion pushes each step forward);
-* element probes test degree-one elements of the fiber cone for
-  regularity / superficiality over an explicit window of degrees;
 * the Valabrega-Valla certificate is complete at the reduction number;
 * the depth classifier compares e_1 against the two partial-length sums
   whose agreement characterizes depth of the associated graded ring.
@@ -20,7 +18,6 @@ from typing import NamedTuple
 
 from . import ideals
 from .errors import (
-    InputError,
     InternalInconsistencyError,
     NotAReductionError,
     TheoremViolationError,
@@ -72,94 +69,6 @@ def reduction_number(spec: FiltrationSpec, j=None) -> ReductionData:
             )
 
 
-class ElementProbe(NamedTuple):
-    """Outcome of testing one degree-one fiber element."""
-
-    element: str
-    kind: str            # "regular" or "superficial"
-    ok: bool
-    failed_at: int | None
-    c: int | None        # superficiality offset, when kind == "superficial"
-    n_checked: int
-
-
-def _require_window(n_check: int) -> None:
-    """A window check over no degree would pass having checked nothing."""
-    if n_check < 1:
-        raise InputError(f"a window check needs n_check >= 1, got {n_check}")
-
-
-def _degree_one_element(spec: FiltrationSpec, element):
-    """Validate x in I_1 \\ K I_1 and return it in canonical form."""
-    ring = spec.ring
-    x = ring.validate_monomial(element)
-    if not spec.term(1).contains_element(x):
-        raise InputError(
-            f"element {ring.format_monomial(x)} is not in I_1: "
-            "it has no degree-one image in the fiber cone"
-        )
-    if spec.kterm(1).contains_element(x):
-        raise InputError(
-            f"element {ring.format_monomial(x)} lies in K I_1: "
-            "its degree-one image in the fiber cone is zero"
-        )
-    return x
-
-
-def probe_fiber_regular(spec: FiltrationSpec, element, *, n_check: int = 8) -> ElementProbe:
-    """Does x act as a nonzerodivisor on the fiber cone in degrees <= n_check?
-
-    Degree-n test: (K I_n : x) meets I_{n-1} exactly in K I_{n-1}.
-    """
-    _require_window(n_check)
-    x = _degree_one_element(spec, element)
-    xi = spec.ring.ideal([x])
-    failed_at = None
-    for n in range(1, n_check + 1):
-        lhs = spec.kterm(n).colon(xi).intersect(spec.term(n - 1))
-        if lhs != spec.kterm(n - 1):
-            failed_at = n
-            break
-    return ElementProbe(
-        element=spec.ring.format_monomial(x),
-        kind="regular",
-        ok=failed_at is None,
-        failed_at=failed_at,
-        c=None,
-        n_checked=n_check,
-    )
-
-
-def probe_fiber_superficial(
-    spec: FiltrationSpec, element, *, n_check: int = 8, c_max: int = 6
-) -> ElementProbe:
-    """Find the least offset c with (K I_n : x) cap I_c = K I_{n-1} for
-    c < n <= n_check, trying c < n_check; such a c is the superficiality test."""
-    _require_window(n_check)
-    x = _degree_one_element(spec, element)
-    xi = spec.ring.ideal([x])
-    failed_at = None
-    for c in range(min(c_max, n_check - 1) + 1):
-        failed_at = None
-        for n in range(c + 1, n_check + 1):
-            lhs = spec.kterm(n).colon(xi).intersect(spec.term(c))
-            if lhs != spec.kterm(n - 1):
-                failed_at = n
-                break
-        if failed_at is None:
-            break
-    else:
-        c = None
-    return ElementProbe(
-        element=spec.ring.format_monomial(x),
-        kind="superficial",
-        ok=c is not None,
-        failed_at=failed_at,
-        c=c,
-        n_checked=n_check,
-    )
-
-
 class SequenceCheck(NamedTuple):
     """Degree-by-degree ideal-equality certificate, e.g. J cap I_n = J I_{n-1}."""
 
@@ -202,34 +111,6 @@ def valabrega_valla(
         ok=failed_at is None,
         failed_at=failed_at,
         n_checked=r,
-    )
-
-
-def fiber_regular_sequence_check(
-    spec: FiltrationSpec, elements, *, n_check: int = 8
-) -> SequenceCheck:
-    """Check (x_1..x_s) cap K I_n = (x_1..x_s) K I_{n-1} for 1 <= n <= n_check.
-
-    Passing certifies the degree-one images of the given elements behave as
-    a regular sequence on the fiber cone through the checked degrees.
-    """
-    _require_window(n_check)
-    xs = [_degree_one_element(spec, e) for e in elements]
-    if not xs:
-        raise InputError("need at least one element to test")
-    xideal = spec.ring.ideal(xs)
-    failed_at = None
-    for n in range(1, n_check + 1):
-        lhs = xideal.intersect(spec.kterm(n))
-        rhs = xideal * spec.kterm(n - 1)
-        if lhs != rhs:
-            failed_at = n
-            break
-    return SequenceCheck(
-        name="fiber-regular-sequence",
-        ok=failed_at is None,
-        failed_at=failed_at,
-        n_checked=n_check,
     )
 
 

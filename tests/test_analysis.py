@@ -15,7 +15,6 @@ from fibrekit import (
     PowerSeriesRing,
     TheoremViolationError,
     UndeterminedSumError,
-    VSequence,
     binomial,
     build_table,
     coefficient_report,
@@ -231,10 +230,6 @@ class TestVSequence:
         report = coefficient_report(table, 1)
         with pytest.raises(InternalInconsistencyError):
             v_sequence(spec, table, report)
-
-    def test_last_nonzero(self):
-        assert VSequence(values=(9, 0, 1, 0), g1=1, g2=3).last_nonzero() == 2
-        assert VSequence(values=(0, 0), g1=0, g2=0).last_nonzero() == 0
 
 
 class TestFundamentalLemmaRows:

@@ -1,4 +1,4 @@
-"""Reduction numbers, fiber element probes, sequence checks, depth classes."""
+"""Reduction numbers, the Valabrega-Valla check, depth classes."""
 
 import random
 
@@ -7,7 +7,6 @@ import pytest
 from fibrekit import (
     DepthClass,
     FiltrationSpec,
-    InputError,
     InternalInconsistencyError,
     NotAReductionError,
     PowerSeriesRing,
@@ -16,11 +15,8 @@ from fibrekit import (
     SemigroupIdeal,
     analyze,
     classify_graded_depth,
-    fiber_regular_sequence_check,
     fit_tables,
     load_spec,
-    probe_fiber_regular,
-    probe_fiber_superficial,
     reduction_number,
     valabrega_valla,
 )
@@ -33,6 +29,7 @@ from conftest import (
     make_x3_spec,
     make_x4_spec,
 )
+from test_criteria import fiber_regular_in_degrees
 from test_ideals_semigroup import random_semigroup
 from test_space_corpus import SPACE_CORPUS, space_corpus_spec
 
@@ -198,102 +195,7 @@ class TestReductionRule:
                         reduction_number(spec)
 
 
-class TestElementValidation:
-    def test_element_outside_i1(self):
-        with pytest.raises(InputError) as err:
-            probe_fiber_regular(make_x3_spec(), (1, 1))
-        assert "not in I_1" in str(err.value)
-
-    def test_element_inside_k_i1(self):
-        # x^4 sits in m*I, so its degree-one fiber image vanishes
-        with pytest.raises(InputError) as err:
-            probe_fiber_regular(make_x3_spec(), (4, 0))
-        assert "lies in K I_1" in str(err.value)
-
-    def test_sequence_check_validates_elements(self):
-        with pytest.raises(InputError):
-            fiber_regular_sequence_check(make_x3_spec(), [(1, 1)])
-        with pytest.raises(InputError) as err:
-            fiber_regular_sequence_check(make_x3_spec(), [])
-        assert "at least one element" in str(err.value)
-
-
-class TestElementProbes:
-    def test_regular_probe_on_x4(self):
-        probe = probe_fiber_regular(make_x4_spec(), (4, 0))
-        assert probe.element == "x^4"
-        assert probe.kind == "regular"
-        assert probe.ok and probe.failed_at is None
-        assert probe.c is None
-        assert probe.n_checked == 8
-
-    def test_superficial_probe_on_x4(self):
-        probe = probe_fiber_superficial(make_x4_spec(), (4, 0))
-        assert probe.kind == "superficial"
-        assert probe.ok
-        assert probe.c == 0
-
-    def test_superficial_probe_on_x3(self):
-        probe = probe_fiber_superficial(make_x3_spec(), (3, 0))
-        assert probe.ok and probe.c == 0
-        assert probe.element == "x^3"
-
-    def test_probes_on_semigroup_generator(self):
-        spec = make_sg_spec()
-        regular = probe_fiber_regular(spec, 4)
-        superficial = probe_fiber_superficial(spec, 4)
-        assert regular.element == "t^4"
-        assert regular.ok
-        assert superficial.ok and superficial.c == 0
-
-    def test_superficial_offset_stays_inside_the_window(self):
-        # t^5 fails for every c <= 6 at n = 7; with n_check = 3 an offset
-        # c = 3 would leave the window empty and pass having checked nothing
-        spec = make_sg_spec()
-        assert not probe_fiber_superficial(spec, 5, n_check=8).ok
-        probe = probe_fiber_superficial(spec, 5, n_check=3)
-        assert not probe.ok and probe.c is None
-
-    @pytest.mark.parametrize(
-        "check",
-        [
-            lambda spec: probe_fiber_regular(spec, 6, n_check=0),
-            lambda spec: probe_fiber_superficial(spec, 6, n_check=0),
-            lambda spec: fiber_regular_sequence_check(spec, [4], n_check=0),
-        ],
-        ids=["regular", "superficial", "sequence"],
-    )
-    def test_empty_window_is_rejected(self, check):
-        with pytest.raises(InputError) as err:
-            check(make_sg_spec())
-        assert "n_check >= 1" in str(err.value)
-
-    def test_probe_window_is_reported(self):
-        probe = probe_fiber_regular(make_x3_spec(), (3, 0), n_check=5)
-        assert probe.n_checked == 5
-
-
 class TestSequenceChecks:
-    def test_x3_reduction_generators_pass(self):
-        check = fiber_regular_sequence_check(make_x3_spec(), [(3, 0), (0, 3)])
-        assert check.name == "fiber-regular-sequence"
-        assert check.ok and check.failed_at is None
-        assert check.n_checked == 8
-
-    def test_prefix_of_passing_sequence_passes(self):
-        spec = make_x3_spec()
-        full = fiber_regular_sequence_check(spec, [(3, 0), (0, 3)])
-        prefix = fiber_regular_sequence_check(spec, [(3, 0)])
-        assert full.ok
-        assert prefix.ok
-
-    def test_x4_raw_equality_holds_despite_low_depth(self):
-        # the degree-by-degree equality for (x^4, y^4) holds here even though
-        # the fiber cone is not Cohen-Macaulay; the equality alone certifies
-        # nothing because the graded ring of this example has depth zero
-        check = fiber_regular_sequence_check(make_x4_spec(), [(4, 0), (0, 4)])
-        assert check.ok
-
     def test_valabrega_valla_fails_on_all_three_examples(self):
         for spec in (make_x3_spec(), make_x4_spec(), make_sg_spec()):
             check = valabrega_valla(spec)
@@ -428,23 +330,20 @@ class TestGradedDepthClassification:
 
 
 class TestRegularityEquivalenceBothWays:
-    """For a principal reduction, the degree-by-degree equality and the
-    regularity probe certify the same thing where the graded hypotheses
-    hold; on these small Cohen-Macaulay instances both sides agree."""
+    """For a principal reduction, the Valabrega-Valla equality and the
+    degree-by-degree regularity of J's generator on the fiber cone certify
+    the same thing where the graded hypotheses hold; on these small
+    Cohen-Macaulay instances both sides agree."""
 
     def test_345_both_sides_positive(self):
         spec = spec_345()
         assert valabrega_valla(spec).ok  # graded hypotheses certified
-        assert fiber_regular_sequence_check(spec, [3]).ok
-        assert probe_fiber_regular(spec, 3).ok
+        assert fiber_regular_in_degrees(spec, 3)
 
     def test_maximal_adic_both_sides_positive(self):
         spec = spec_m_adic()
         assert valabrega_valla(spec).ok
-        assert fiber_regular_sequence_check(spec, [(1, 0)]).ok
-        assert probe_fiber_regular(spec, (1, 0)).ok
+        assert fiber_regular_in_degrees(spec, (1, 0))
 
     def test_semigroup_4567_fiber_generator(self):
-        spec = make_sg_spec()
-        assert fiber_regular_sequence_check(spec, [4]).ok
-        assert probe_fiber_regular(spec, 4).ok
+        assert fiber_regular_in_degrees(make_sg_spec(), 4)
