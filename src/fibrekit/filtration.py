@@ -12,7 +12,9 @@ J) and validates the defining hypotheses up front:
   explicit range are enough: the recursion propagates both properties to all
   higher indices).
 
-Terms, K-terms, J-terms and K J-terms are cached on the spec.
+Terms, K-terms, J-terms and K J-terms are cached on the spec. Each is
+built as I_n times I_1, K, J or K J: a product iterates over the generators
+of its right factor, so the factor with few generators goes on the right.
 build_table evaluates H(n) = len(R/I_n), H_K(n) = len(R/K I_n) and
 H_F(n) = len(I_n/K I_n) = H_K(n) - H(n), after checking K I_n <= I_n.
 
@@ -140,7 +142,7 @@ class FiltrationSpec:
             for n in range(1, N):
                 if not terms[n - 1].contains(terms[n]):
                     raise InputError(f"I_{n + 1} is not contained in I_{n}")
-                if not (self.K * terms[n - 1]).contains(terms[n]):
+                if not (terms[n - 1] * self.K).contains(terms[n]):
                     raise InputError(
                         f"I_{n + 1} is not contained in K*I_{n}: "
                         "(K, F) is not a Hilbert filtration pair"
@@ -170,7 +172,7 @@ class FiltrationSpec:
         """K * I_n."""
         got = self._kterms.get(n)
         if got is None:
-            got = self.K * self.term(n)
+            got = self.term(n) * self.K
             self._kterms[n] = got
         return got
 
@@ -196,7 +198,7 @@ class FiltrationSpec:
         """J * I_n."""
         got = self._jterms.get(n)
         if got is None:
-            got = self.require_j() * self.term(n)
+            got = self.term(n) * self.require_j()
             self._jterms[n] = got
         return got
 
@@ -206,7 +208,7 @@ class FiltrationSpec:
         if got is None:
             if self._kj is None:
                 self._kj = self.K * self.require_j()
-            got = self._kj * self.term(n)
+            got = self.term(n) * self._kj
             self._kjterms[n] = got
         return got
 

@@ -16,14 +16,23 @@ semigroup combinatorics over plain integers. Ideals are immutable values.
 A semigroup ideal's minimal generators are cached on first use, an
 immutable value, so instances may be shared between threads.
 
-Semigroup ideals compute on valuation bitmasks: a product ORs one factor's
-mask shifted by each minimal generator of the other, a colon shifts right,
-and a colength is a difference of popcounts (`int.bit_count`, Python 3.10).
-Every construction checks its parts and closure with a shift per generator.
+In both models a product with a unit factor returns the other factor. A
+semigroup product makes one shift per generator of its right factor and a
+plane product one sorted run, so callers keep the right factor the one with
+few generators (K, J or I_1 against I_n).
+
+Semigroup ideals compute on valuation bitmasks: a product ORs the left
+factor's mask shifted by each minimal generator of the right one, a colon
+shifts right, and a colength is a difference of popcounts (`int.bit_count`,
+Python 3.10). Every construction checks its parts and closure with a shift
+per generator.
 
 Monomial ideals compute on staircases. In d = 1 every nonzero ideal is
-(x^a), so each kernel compares exponents. In the plane (d = 2), containment
-is one merge walk over both generator lists, and colength is read off the
+(x^a), so each kernel compares exponents. In the plane (d = 2), a product
+sorts the generator sums, one sorted run per generator of the right factor,
+and keeps their lower staircase in one scan; a colon by one monomial is one
+walk that clips the staircase at the axes; intersection and containment are
+each one merge walk over both generator lists; and colength is read off the
 staircase directly (INFINITE when it does not reach both axes). In d >= 3,
 colength, containment and the antichain of minimal generators are slice
 kernels: they sweep the distinct last coordinates upward, keep an active
@@ -113,15 +122,7 @@ def _antichain(cands: Iterable[tuple]) -> tuple:
     if len(cands[0]) == 1:
         return (cands[0],)
     if len(cands[0]) == 2:
-        # plane case: after lexicographic sort an element is minimal iff its
-        # second coordinate beats everything already kept
-        out = []
-        best = None
-        for a, b in cands:
-            if best is None or b < best:
-                out.append((a, b))
-                best = b
-        return tuple(out)
+        return _staircase(cands)
     # d >= 3, level by level in the last coordinate: a candidate is minimal
     # iff its projection is minimal within its level and lies outside the
     # ideal of the projections kept on the levels below
@@ -133,6 +134,19 @@ def _antichain(cands: Iterable[tuple]) -> tuple:
             out.extend(p + (z,) for p in fresh)
             active = _antichain(active + tuple(fresh))
     return tuple(sorted(out))
+
+
+def _staircase(pts: list) -> tuple:
+    """Minimal elements of lexicographically sorted plane points: a point is
+    minimal iff its second coordinate beats everything already kept, so
+    repeated points fall out too."""
+    out = []
+    best = INFINITE
+    for p in pts:
+        if p[1] < best:
+            out.append(p)
+            best = p[1]
+    return tuple(out)
 
 
 def _outside(gens: tuple, pts) -> list:
@@ -228,15 +242,17 @@ class MonomialIdeal(_Power):
         self._check(other)
         if self.is_zero or other.is_zero:
             return self.ring.zero_ideal()
-        d = self.ring.dim
-        if d == 2:
-            cands = {
-                (a0 + b0, a1 + b1) for a0, a1 in self.gens for b0, b1 in other.gens
-            }
-        else:
-            cands = {
-                tuple(map(operator.add, a, b)) for a in self.gens for b in other.gens
-            }
+        if self.is_unit:
+            return other
+        if other.is_unit:
+            return self
+        if self.ring.dim == 2:
+            # one sorted run of sums per generator of other; the lower
+            # staircase of the merged runs is the product's antichain
+            sums = [(a0 + b0, a1 + b1) for b0, b1 in other.gens for a0, a1 in self.gens]
+            sums.sort()
+            return MonomialIdeal(self.ring, _staircase(sums), _canonical=True)
+        cands = [tuple(map(operator.add, a, b)) for a in self.gens for b in other.gens]
         return MonomialIdeal(self.ring, _antichain(cands), _canonical=True)
 
     def __add__(self, other):
@@ -253,7 +269,7 @@ class MonomialIdeal(_Power):
             return MonomialIdeal(
                 self.ring, _intersect_plane(self.gens, other.gens), _canonical=True
             )
-        cands = {tuple(map(max, a, b)) for a in self.gens for b in other.gens}
+        cands = [tuple(map(max, a, b)) for a in self.gens for b in other.gens]
         return MonomialIdeal(self.ring, _antichain(cands), _canonical=True)
 
     def colon(self, other):
@@ -267,10 +283,7 @@ class MonomialIdeal(_Power):
         out = None
         for b in other.gens:
             if d == 2:
-                b0, b1 = b
-                shifted = _antichain(
-                    (max(g0 - b0, 0), max(g1 - b1, 0)) for g0, g1 in self.gens
-                )
+                shifted = _colon_plane(self.gens, b)
             else:
                 shifted = _antichain(
                     tuple(max(g[i] - b[i], 0) for i in range(d)) for g in self.gens
@@ -386,24 +399,51 @@ def _det(rows) -> int:
 
 
 def _intersect_plane(ga: tuple, gb: tuple) -> tuple:
-    """Antichain of the intersection of two nonzero plane monomial ideals,
-    by merging staircase height functions."""
-    breaks = sorted({g[0] for g in ga} | {g[0] for g in gb})
+    """Antichain of the intersection of two nonzero plane monomial ideals:
+    one merge of both staircases in x, keeping a corner wherever the larger
+    of the two heights drops."""
     out = []
     prev = INFINITE
-    ia = ib = -1
+    ia = ib = 0
+    na, nb = len(ga), len(gb)
     ha = hb = INFINITE
-    for x in breaks:
-        while ia + 1 < len(ga) and ga[ia + 1][0] <= x:
-            ia += 1
+    while ia < na or ib < nb:
+        xa = ga[ia][0] if ia < na else INFINITE
+        xb = gb[ib][0] if ib < nb else INFINITE
+        if xa <= xb:
+            x = xa
             ha = ga[ia][1]
-        while ib + 1 < len(gb) and gb[ib + 1][0] <= x:
-            ib += 1
+            ia += 1
+        if xb <= xa:
+            x = xb
             hb = gb[ib][1]
-        h = max(ha, hb)
-        if h is not INFINITE and h < prev:
+            ib += 1
+        h = ha if ha > hb else hb
+        if h < prev:
             out.append((x, h))
             prev = h
+    return tuple(out)
+
+
+def _colon_plane(gens: tuple, b: tuple) -> tuple:
+    """Antichain of (gens : x^b0 y^b1) for a canonical nonempty plane
+    staircase, in one walk that clips each generator at the axes. Generators
+    with x <= b0 clip onto the y-axis, where only the last of them stays
+    minimal; the first generator with y <= b1 clips onto the x-axis and ends
+    the walk, since every later one is a multiple of its image."""
+    b0, b1 = b
+    out = []
+    for x, y in gens:
+        x = x - b0 if x > b0 else 0
+        if y <= b1:
+            if not x:
+                return ((0, 0),)
+            out.append((x, 0))
+            break
+        if x:
+            out.append((x, y - b1))
+        else:
+            out = [(0, y - b1)]
     return tuple(out)
 
 
@@ -592,9 +632,15 @@ class SemigroupIdeal(_Power):
     # -- arithmetic ----------------------------------------------------------
 
     def __mul__(self, other):
+        """self * other, one shift of self's elements per minimal generator
+        of other: callers keep the right factor the one with few generators."""
         self._check(other)
         if self.is_zero or other.is_zero:
             return self.ring.zero_ideal()
+        if self.is_unit:
+            return other
+        if other.is_unit:
+            return self
         gens = other.minimal_generators()
         # the product holds every integer from full_bound + gens[0] on, and
         # below that s + g needs s < full_bound

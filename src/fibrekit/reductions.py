@@ -52,7 +52,7 @@ def reduction_number(spec: FiltrationSpec, j=None) -> ReductionData:
     if j is None:
         j, jterm = spec.require_j(), spec.jterm
     else:
-        jterm = functools.cache(lambda n: j * spec.term(n))
+        jterm = functools.cache(lambda n: spec.term(n) * j)
     if not j.is_reduction_of(spec.I):
         raise NotAReductionError(f"J = {j} is not a reduction of I_1 = {spec.I}")
     explicit = len(spec.explicit)

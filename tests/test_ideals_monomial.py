@@ -15,6 +15,7 @@ import fibrekit.ideals
 from fibrekit import (
     ComputationError,
     ContainmentError,
+    InputError,
     InternalInconsistencyError,
     PowerSeriesRing,
     RingMismatchError,
@@ -231,6 +232,127 @@ class TestPlaneContainment:
         with colength_cross_check():
             with pytest.raises(InternalInconsistencyError):
                 big.contains(small)
+
+
+class TestPlaneWalks:
+    """The d = 2 product (sorted sums, one staircase scan), the colon by one
+    generator (one clipping walk) and the intersection (merged heights),
+    each against the membership oracle and in canonical form."""
+
+    BOUND = 16
+
+    def points(self):
+        return [(i, j) for i in range(self.BOUND) for j in range(self.BOUND)]
+
+    def check(self, a, b):
+        ring = a.ring
+        prod, meet, quot = a * b, a.intersect(b), a.colon(b)
+        sums = {(g[0] + h[0], g[1] + h[1]) for g in a.gens for h in b.gens}
+        meets = {tuple(map(max, g, h)) for g in a.gens for h in b.gens}
+        assert prod.gens == brute_minimal(sums), (a, b)
+        assert meet.gens == brute_minimal(meets), (a, b)
+        assert quot.gens == ring.ideal(quot.gens).gens, (a, b)
+        for p in self.points():
+            assert prod.contains_element(p) == any(divides(s, p) for s in sums)
+            assert meet.contains_element(p) == (
+                oracle_member(a, p) and oracle_member(b, p)
+            )
+            assert quot.contains_element(p) == all(
+                oracle_member(a, (p[0] + g[0], p[1] + g[1])) for g in b.gens
+            ), (a, b, p)
+
+    def test_staircases_that_miss_an_axis(self):
+        rng = random.Random(31)
+        ring = PowerSeriesRing("x", "y")
+        cases = [
+            ([(2, 1)], [(1, 3)]),
+            ([(3, 0), (1, 2)], [(2, 1), (0, 4)]),
+            ([(4, 1), (2, 3)], [(5, 0), (0, 5)]),
+            ([(0, 3), (2, 1)], [(1, 1)]),
+        ]
+        pairs = [(ring.ideal(a), ring.ideal(b)) for a, b in cases]
+        while len(pairs) < 60:
+            a, b = random_plane_ideal(rng, ring), random_plane_ideal(rng, ring)
+            if a.is_zero or b.is_zero:
+                continue
+            if a.pure_powers() is None or b.pure_powers() is None:
+                pairs.append((a, b))
+        for a, b in pairs:
+            self.check(a, b)
+            self.check(b, a)
+
+    def test_generators_sharing_a_coordinate(self):
+        ring = PowerSeriesRing("x", "y")
+        a = ring.ideal([(0, 5), (2, 3), (4, 1), (6, 0)])
+        for b in (
+            [(2, 4), (4, 2), (7, 0)],  # shares x-coordinates with a
+            [(1, 5), (3, 3), (5, 1)],  # shares y-coordinates with a
+            [(2, 3), (4, 1)],  # shares whole generators with a
+            [(0, 2), (2, 0)],  # sums land on each other
+            [(0, 5), (2, 3), (4, 1), (6, 0)],  # a itself
+        ):
+            self.check(a, ring.ideal(b))
+            self.check(ring.ideal(b), a)
+
+    def test_colon_by_a_monomial_that_clips_to_the_axes(self):
+        ring = PowerSeriesRing("x", "y")
+        a = ring.ideal([(0, 6), (2, 5), (3, 2), (5, 1), (7, 0)])
+        for b in [(x, y) for x in range(9) for y in range(8)]:
+            mono = ring.ideal([b])
+            self.check(a, mono)
+            clipped = {(max(g[0] - b[0], 0), max(g[1] - b[1], 0)) for g in a.gens}
+            assert fibrekit.ideals._colon_plane(a.gens, b) == brute_minimal(clipped), b
+        # a generator below the monomial in both coordinates: the unit ideal
+        assert a.colon(ring.ideal([(4, 3)])) == ring.unit_ideal()
+        assert a.colon(ring.ideal([(3, 2)])) == ring.unit_ideal()
+        assert a.colon(ring.ideal([(2, 2)])) == ring.ideal([(1, 0), (0, 3)])
+
+    def test_colon_by_pure_powers(self):
+        rng = random.Random(32)
+        ring = PowerSeriesRing("x", "y")
+        for _ in range(40):
+            a = random_cofinite_ideal(rng, ring, cap=7)
+            j = ring.ideal([(rng.randint(1, 6), 0), (0, rng.randint(1, 6))])
+            self.check(a, j)
+            self.check(a * j, j)
+            assert (a * j).colon(j).contains(a)
+
+
+class TestUnitAndZeroFactors:
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_zero_and_unit_factors(self, dim):
+        ring = PowerSeriesRing(*SPACE_VARIABLES[:dim])
+        zero, unit, m = ring.zero_ideal(), ring.unit_ideal(), ring.maximal_ideal()
+        powers = [tuple(2 if k == axis else 0 for k in range(dim)) for axis in range(dim)]
+        i = ring.ideal(powers + [(1,) * dim])
+        for x in (zero, unit, m, i):
+            assert zero * x == zero and x * zero == zero
+        for x in (unit, m, i):
+            assert unit * x == x and x * unit == x
+            # a unit factor hands back the other factor unchanged
+            assert unit * x is x and x * unit is x
+        assert unit.gens == ((0,) * dim,)
+        # zero and unit on either side of a colon
+        assert zero.colon(i) == zero and zero.colon(unit) == zero
+        assert unit.colon(i) == unit and unit.colon(unit) == unit
+        assert i.colon(unit) == i and i.colon(i) == unit
+        for x in (zero, unit, i):
+            with pytest.raises(InputError):
+                x.colon(zero)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_products_commute(self, dim):
+        rng = random.Random(40 + dim)
+        ring = PowerSeriesRing(*SPACE_VARIABLES[:dim])
+        pool = [ring.unit_ideal(), ring.zero_ideal(), ring.maximal_ideal()]
+        for _ in range(40):
+            if dim == 2:
+                pool.append(random_plane_ideal(rng, ring))
+            else:
+                pool.append(random_space_ideal(rng, dim, cap=3))
+        for a, b in zip(pool, pool[1:] + pool[:1]):
+            ab, ba = a * b, b * a
+            assert ab == ba and ab.gens == ba.gens, (a, b)
 
 
 class TestColength:
@@ -499,10 +621,15 @@ class TestQuotientLength:
 
     def test_every_binary_operation_checks_the_ring(self):
         i = PowerSeriesRing("x", "y").ideal([(2, 0), (0, 2)])
-        j = PowerSeriesRing("u", "v").ideal([(2, 0), (0, 2)])
+        other = PowerSeriesRing("u", "v")
+        j = other.ideal([(2, 0), (0, 2)])
         for op in (i.__mul__, i.__add__, i.intersect, i.colon, i.contains, i.is_reduction_of):
             with pytest.raises(RingMismatchError):
                 op(j)
+        # a unit factor is checked before it hands back the other factor
+        for a, b in ((i, other.unit_ideal()), (other.unit_ideal(), i)):
+            with pytest.raises(RingMismatchError):
+                a * b
 
 
 class TestPowers:

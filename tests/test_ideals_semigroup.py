@@ -193,6 +193,15 @@ class TestOperationsAgainstOracle:
             )
             assert ring.ideal(i_gens).minimal_generators() == tuple(expected)
 
+    def test_products_commute(self):
+        rng = random.Random(28)
+        for _ in range(20):
+            ring, _gens, _a_gens, _b_gens, a, b, *_ = self.run_case(rng)
+            pool = (a, b, a * b, ring.maximal_ideal(), ring.unit_ideal(), ring.zero_ideal())
+            for x in pool:
+                for y in pool:
+                    assert x * y == y * x, (x, y)
+
 
 class TestRings:
     def test_equal_rings_built_twice_interoperate(self):
@@ -214,6 +223,11 @@ class TestRings:
                 op(j)
         with pytest.raises(RingMismatchError):
             quotient_length(i, j)
+        # a unit factor is checked before it hands back the other factor
+        other = SemigroupRing(3, 5).unit_ideal()
+        for a, b in ((i, other), (other, i)):
+            with pytest.raises(RingMismatchError):
+                a * b
 
 
 class TestEdgeCases:
@@ -241,6 +255,7 @@ class TestEdgeCases:
             assert zero * x == zero and x * zero == zero
         for x in (unit, i):
             assert unit * x == x and x * unit == x
+        assert unit * i is i and i * unit is i
         assert unit.minimal_generators() == (0,)
         # zero and unit on either side of a colon
         assert zero.colon(i) == zero and zero.colon(unit) == zero
