@@ -6,6 +6,7 @@ lengths are counted by scanning an explicit bounding box.
 """
 
 import contextlib
+import itertools
 import math
 import random
 
@@ -393,6 +394,29 @@ class TestColength:
         ring = PowerSeriesRing("x", "y")
         assert ring.unit_ideal().colength() == 0
 
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_colength_is_computed_once_per_ideal(self, dim, monkeypatch):
+        # CROSS_CHECK still runs every route on every call; in d = 4 the
+        # slices also call _colength_slice one dimension down, uncounted
+        ring = PowerSeriesRing(*SPACE_VARIABLES[:dim])
+        calls = []
+        slice_ = fibrekit.ideals._colength_slice
+
+        def counted(gens):
+            if len(gens[0]) == dim:
+                calls.append(gens)
+            return slice_(gens)
+
+        monkeypatch.setattr(fibrekit.ideals, "_colength_slice", counted)
+        ideal = ring.maximal_ideal() ** 2
+        expected = math.comb(dim + 1, dim)
+        assert ideal.colength() == ideal.colength() == expected
+        assert len(calls) == 1
+        with colength_cross_check():
+            assert ideal.colength() == ideal.colength() == expected
+        assert len(calls) == 3
+        assert ring.ideal(ideal.gens).colength() == expected and len(calls) == 4
+
 
 SPACE_VARIABLES = ("x", "y", "z", "w")
 
@@ -422,8 +446,9 @@ def brute_minimal(cands):
 
 
 class TestSliceKernels:
-    """The d >= 3 slice colength, antichain and containment against the
-    box-scan and divisibility oracles, in d = 3 and d = 4."""
+    """The d = 3 sweep and the d = 4 slices that end in it: colength,
+    antichain and containment against the box-scan and divisibility
+    oracles."""
 
     @pytest.mark.parametrize("dim, cap", [(3, 5), (4, 3)])
     def test_colength_against_box_oracle(self, dim, cap):
@@ -460,10 +485,11 @@ class TestSliceKernels:
         ],
     )
     def test_each_infinite_exit(self, gens):
+        # the INFINITE object itself, which quotient_length tests by identity
         ideal = PowerSeriesRing("x", "y", "z").ideal(gens)
-        assert ideal.colength() == INFINITE
+        assert ideal.colength() is INFINITE
         with colength_cross_check():
-            assert ideal.colength() == INFINITE
+            assert ideal.colength() is INFINITE
 
     @pytest.mark.parametrize("dim", [3, 4])
     def test_unit_and_zero_ideal(self, dim):
@@ -519,12 +545,80 @@ class TestSliceKernels:
                 with colength_cross_check():
                     assert a.contains(b) == expected, (a, b)
 
+    @pytest.mark.parametrize("dim", [3, 4])
+    def test_antichain_with_shared_coordinates(self, dim):
+        # each coordinate takes one or two values per draw, so points share
+        # an x or a z often, every point may sit on one level, and repeats
+        # are common
+        rng = random.Random(80 + dim)
+        for _ in range(300):
+            values = [rng.sample(range(5), rng.randint(1, 2)) for _ in range(dim)]
+            cands = [tuple(map(rng.choice, values)) for _ in range(rng.randint(1, 10))]
+            cands += cands[: rng.randint(0, len(cands))]
+            assert fibrekit.ideals._antichain(cands) == brute_minimal(cands), cands
+        tail = (0,) * (dim - 3)
+        cases = [
+            [(1, 1, 1)],
+            [(2, 0, 3), (2, 0, 3)],
+            [(2, 0, 1), (1, 1, 1), (0, 2, 1), (1, 1, 1), (2, 2, 1), (1, 3, 1)],  # one level
+            [(1, 2, 0), (1, 1, 3), (1, 3, 1), (1, 0, 5), (1, 2, 2)],  # one x
+            [(0, 3, 2), (3, 0, 2), (1, 1, 0), (2, 2, 4), (0, 0, 9)],
+        ]
+        for cands in cases:
+            cands = [p + tail for p in cands]
+            assert fibrekit.ideals._antichain(cands) == brute_minimal(cands), cands
+
+    @pytest.mark.parametrize("dim", [3, 4])
+    def test_outside_against_divisibility(self, dim):
+        rng = random.Random(85 + dim)
+        for _ in range(300):
+            values = [rng.sample(range(5), rng.randint(1, 3)) for _ in range(dim)]
+            draw = [tuple(map(rng.choice, values)) for _ in range(rng.randint(0, 8))]
+            gens = brute_minimal(draw)
+            pts = [tuple(map(rng.choice, values)) for _ in range(rng.randint(1, 10))]
+            pts += pts[: rng.randint(0, len(pts))]
+            outside = [p for p in pts if not any(divides(g, p) for g in gens)]
+            assert sorted(fibrekit.ideals._outside(gens, pts)) == sorted(outside), (gens, pts)
+        pts = [(0,) * dim, (1,) * dim, (3, 0, 2, 1)[:dim]]
+        assert sorted(fibrekit.ideals._outside((), pts)) == sorted(pts)
+        assert fibrekit.ideals._outside(((1,) * dim,), []) == []
+
+    @pytest.mark.parametrize("dim", [3, 4])
+    def test_exact_colength_with_a_huge_exponent(self, dim):
+        """Exponent 10^6 on one axis, each in turn. Oracle: over each point of
+        the box of the other axes, the line along the big axis holds as many
+        points outside the ideal as the least big-axis exponent of a
+        generator dividing it there."""
+        big = 10**6
+        rng = random.Random(90 + dim)
+        ring = PowerSeriesRing(*SPACE_VARIABLES[:dim])
+        for axis in range(dim):
+            others = [i for i in range(dim) if i != axis]
+            for _ in range(8):
+                gens = [tuple(big if i == axis else 0 for i in range(dim))]
+                gens += [tuple(rng.randint(1, 3) if i == j else 0 for i in range(dim)) for j in others]
+                for _ in range(rng.randint(0, 4)):
+                    g = [rng.randint(0, 3) for _ in range(dim)]
+                    g[axis] = rng.choice([g[axis], rng.randint(1, big)])
+                    gens.append(tuple(g))
+                ideal = ring.ideal(gens)
+                box = [range(max(g[i] for g in ideal.gens)) for i in others]
+                expected = 0
+                for q in itertools.product(*box):
+                    expected += min(
+                        g[axis]
+                        for g in ideal.gens
+                        if all(g[i] <= v for i, v in zip(others, q))
+                    )
+                assert ideal.colength() == expected, ideal.gens
+
     def test_cross_check_catches_a_wrong_slice(self, monkeypatch):
         ring = PowerSeriesRing("x", "y", "z")
         ideal = ring.ideal([(2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 0)])
         small = ring.ideal([(3, 0, 0), (0, 3, 0), (0, 0, 3)])
         assert ideal.colength() == 6
         monkeypatch.setattr(fibrekit.ideals, "_colength_slice", lambda gens: 7)
+        ideal = ring.ideal(ideal.gens)  # a fresh, equal ideal: the first cached 6
         assert ideal.colength() == 7
         with colength_cross_check():
             with pytest.raises(InternalInconsistencyError):

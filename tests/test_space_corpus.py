@@ -1,8 +1,9 @@
-"""End to end in k[[x, y, z]] with a positive reduction number.
+"""End to end in k[[x, y, z]], and once in k[[x, y, z, w]], with a positive
+reduction number.
 
-Each input has K = m and J = (x^a, y^a, z^a), a reduction of I by the
+Each input has K = m and J = the pure powers of I, a reduction of I by the
 Newton rule. The expected e_0, len(R/I) and r come from oracles that use
-nothing of the ideal kernel: e_0 = a^3 is the colength of the pure powers,
+nothing of the ideal kernel: e_0 = a^d is the colength of the pure powers,
 len(R/I) is a lattice-point count in the pure-power box, and r is the least
 n with I^(n+1) inside J I^n, decided on exponent-vector sets by
 divisibility.
@@ -14,6 +15,7 @@ from types import SimpleNamespace
 
 import pytest
 
+import fibrekit.ideals
 from fibrekit import (
     CriterionStatus,
     FiltrationSpec,
@@ -41,7 +43,7 @@ def space_corpus_spec(i_gens) -> FiltrationSpec:
 
 def brute_reduction_number(i_gens, j_gens, limit=8):
     """Least n with every exponent sum of I^(n+1) a multiple of one of J I^n."""
-    power = {(0, 0, 0)}  # I^0
+    power = {(0,) * len(i_gens[0])}  # I^0
     for n in range(limit):
         ji = exponent_sums(j_gens, power)
         power = exponent_sums(power, i_gens)
@@ -101,3 +103,28 @@ def test_reduction_rule_against_search(i_gens):
     assert ring.ideal(raised).is_reduction_of(i) is False
     with pytest.raises(AssertionError, match="no reduction number"):
         brute_reduction_number(i_gens, raised)
+
+
+def test_d4_frontier_input():
+    """I = (x^3, y^3, z^3, w^3, xyzw), J = the pure powers, K = m: d = 4 runs
+    the slice kernels one level above the d = 3 sweep. CROSS_CHECK stays off,
+    since its box scan over this table takes minutes."""
+    i_gens = (
+        (3, 0, 0, 0), (0, 3, 0, 0), (0, 0, 3, 0), (0, 0, 0, 3), (1, 1, 1, 1)
+    )
+    j_gens = i_gens[:4]
+    ring = PowerSeriesRing("x", "y", "z", "w")
+    assert fibrekit.ideals.CROSS_CHECK is False
+    report = analyze(FiltrationSpec(ring.ideal(i_gens), J=ring.ideal(j_gens)))
+
+    assert brute_reduction_number(i_gens, j_gens) == 2
+    assert report.reduction.r == 2
+    assert report.e0 == 81
+    assert oracle_colength(SimpleNamespace(gens=i_gens)) == 65
+    assert report.table.h[1] == 65
+    e = report.coefficients.e.coefficients
+    g = report.coefficients.g.coefficients
+    f = report.coefficients.f.coefficients
+    assert e[0] == g[0] == 81
+    for i in range(1, 5):
+        assert g[i] == e[i] - f[i - 1], i
