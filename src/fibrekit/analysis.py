@@ -19,6 +19,7 @@ formula (Bruns-Herzog, Cohen-Macaulay Rings, 4.1), which never divides.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from enum import Enum
@@ -34,10 +35,9 @@ from .filtration import FiltrationSpec, HilbertTable
 
 def binomial(m: int, k: int) -> int:
     """C(m, k) as a polynomial in m, valid for negative m as well."""
-    num = 1
-    for j in range(k):
-        num *= m - j
-    return num // math.factorial(k)
+    if m >= 0:
+        return math.comb(m, k)
+    return (-1) ** k * math.comb(k - m - 1, k)
 
 
 class Basis(Enum):
@@ -351,14 +351,13 @@ def fiber_hilbert_series(table: HilbertTable, dim: int, fit: CoefficientSet) -> 
     """Numerator of sum_n H_F(n) t^n times (1-t)^dim, with termination and
     regeneration verified against the table and the fit."""
 
-    def hf(n: int) -> int:
-        return table.hf[n] if n <= table.n_max else fit.value(n)
-
+    # h_j is the dim-th backward difference of H_F at j (H_F = 0 below 0)
     top = fit.postulation + dim
-    coeffs = []
-    for j in range(top + dim + 3):
-        c = sum((-1) ** i * math.comb(dim, i) * hf(j - i) for i in range(min(j, dim) + 1))
-        coeffs.append(c)
+    coeffs = [
+        table.hf[n] if n <= table.n_max else fit.value(n) for n in range(top + dim + 3)
+    ]
+    for _ in range(dim):
+        coeffs[1:] = map(operator.sub, coeffs[1:], coeffs[:-1])
     for j in range(top + 1, len(coeffs)):
         if coeffs[j] != 0:
             raise InternalInconsistencyError(
@@ -366,15 +365,14 @@ def fiber_hilbert_series(table: HilbertTable, dim: int, fit: CoefficientSet) -> 
             )
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()
-    # regenerate H_F from the numerator as an independent check
-    for n in range(table.n_max + 1):
-        regen = sum(
-            coeffs[j] * binomial(n - j + dim - 1, dim - 1)
-            for j in range(min(n, len(coeffs) - 1) + 1)
-        )
-        if regen != table.hf[n]:
+    # regenerate H_F from the numerator, dim prefix sums, as an independent check
+    regen = (coeffs + [0] * (table.n_max + 1))[: table.n_max + 1]
+    for _ in range(dim):
+        regen = list(itertools.accumulate(regen))
+    for n, (value, expected) in enumerate(zip(regen, table.hf)):
+        if value != expected:
             raise InternalInconsistencyError(
-                f"fiber series regeneration fails at n = {n}: {regen} != {table.hf[n]}"
+                f"fiber series regeneration fails at n = {n}: {value} != {expected}"
             )
     return HilbertSeries(
         numerator=tuple(coeffs),

@@ -7,9 +7,9 @@ equality of ideals:
   antichain of minimal monomial generators (sorted exponent tuples, no
   generator dividing another);
 * semigroup model: an ideal of k[[t^a : a in S]] for a numerical semigroup S
-  stored as (mask, conductor c), meaning the valuations whose bits are set
-  in the int mask, all below c, together with {s in S : s >= c}, with c
-  minimal.
+  stored as one int `missing` whose bits are the members of S outside the
+  ideal (None for the zero ideal, 0 for the unit ideal); its conductor is
+  missing.bit_length().
 
 Nothing depends on the coefficient field; every operation is lattice or
 semigroup combinatorics over plain integers. Ideals are immutable values.
@@ -22,11 +22,13 @@ semigroup product makes one shift per generator of its right factor and a
 plane product one sorted run, so callers keep the right factor the one with
 few generators (K, J or I_1 against I_n).
 
-Semigroup ideals compute on valuation bitmasks: a product ORs the left
-factor's mask shifted by each minimal generator of the right one, a colon
-shifts right, and a colength is a difference of popcounts (`int.bit_count`,
-Python 3.10). Every construction checks its parts and closure with a shift
-per generator.
+Semigroup ideals compute on their missing-member masks: a sum is `&`, an
+intersection `|`, containment one mask test, a colon ORs the mask shifted
+right by each generator of the divisor and keeps the members, and a
+colength is a popcount (`int.bit_count`, Python 3.10). A product ORs the
+left factor's element mask shifted by each minimal generator of the right
+one. Every construction checks that the missing members lie in S and that
+the ideal is closed under each ring generator, one shift apiece.
 
 Monomial ideals compute on staircases. In d = 1 every nonzero ideal is
 (x^a), so each kernel compares exponents. In the plane (d = 2), a product
@@ -342,7 +344,19 @@ class MonomialIdeal(_Power):
             return MonomialIdeal(
                 self.ring, _intersect_plane(self.gens, other.gens), _canonical=True
             )
-        cands = [tuple(map(max, a, b)) for a in self.gens for b in other.gens]
+        if self.ring.dim == 3:
+            # unpacked conditional maxima, as the d = 3 product's sums
+            cands = [
+                (
+                    a0 if a0 > b0 else b0,
+                    a1 if a1 > b1 else b1,
+                    a2 if a2 > b2 else b2,
+                )
+                for b0, b1, b2 in other.gens
+                for a0, a1, a2 in self.gens
+            ]
+        else:
+            cands = [tuple(map(max, a, b)) for a in self.gens for b in other.gens]
         return MonomialIdeal(self.ring, _antichain(cands), _canonical=True)
 
     def colon(self, other):
@@ -639,80 +653,81 @@ def _colength_scan(gens: tuple, box: list):
 
 
 class SemigroupIdeal(_Power):
-    """Ideal of a numerical-semigroup ring in (mask, conductor) form.
+    """Ideal of a numerical-semigroup ring, stored by its missing members.
 
-    Bit s of the int `mask` is set for each ideal element s below the
-    conductor c, and every semigroup member s >= c lies in the ideal, with c
-    minimal. The zero ideal is (0, None), the unit ideal (0, 0). `fpart` is
-    the sorted tuple of the bits of `mask`.
+    Bit s of the int `missing` is set for each semigroup member s that is
+    not in the ideal. The zero ideal has missing None and the unit ideal 0.
+    The conductor, the least c with every member from c on in the ideal, is
+    missing.bit_length(), so it is minimal by construction. `fpart` is the
+    sorted tuple of the ideal's elements below the conductor.
     """
 
-    __slots__ = ("ring", "mask", "conductor", "_mingens")
+    __slots__ = ("ring", "missing", "_mingens")
 
-    def __init__(self, ring, generators: Iterable, *, _parts=None):
+    def __init__(self, ring, generators: Iterable, *, _missing: int | None = None):
         self.ring = ring
-        if _parts is not None:
-            self.mask, self.conductor = _parts
+        if _missing is not None:
+            self.missing = _missing
         else:
             gens = sorted({ring.validate_monomial(g) for g in generators})
             if not gens:
-                self.mask, self.conductor = 0, None
+                self.missing = None
             else:
                 # gens[0] + S holds every integer from gens[0] + ring conductor on
-                bound = gens[0] + ring.conductor
-                members = ring.member_mask(bound)
+                members = ring.member_mask(gens[0] + ring.conductor)
                 elems = 0
                 for g in gens:
                     elems |= members << g
-                self.mask, self.conductor = _mask_parts(ring, elems, bound)
+                self.missing = members & ~elems
         self._mingens = None
         self._validate()
 
     def _validate(self):
-        mask, c = self.mask, self.conductor
-        if c is None:
-            if mask:
-                raise InternalInconsistencyError("zero ideal with finite part")
+        missing = self.missing
+        if missing is None:
             return
-        members = self.ring.member_mask(c)
-        # finite part inside S and below c, and c one past the last gap
-        if mask & ~members or (members & ~mask).bit_length() != c:
+        members = self.ring.member_mask(missing.bit_length())
+        if missing & ~members:
             raise InternalInconsistencyError(
-                f"bad finite part {_bits(mask)} for conductor {c}"
+                f"bad finite part: missing {_bits(missing & ~members)} outside the semigroup"
             )
-        below = (1 << c) - 1
+        # s in the ideal with s + a missing breaks closure under t^a
+        inside = members & ~missing
         for a in self.ring.generators:
-            if (mask << a) & below & ~mask:
+            if missing >> a & inside:
                 raise InternalInconsistencyError(
-                    f"finite part {_bits(mask)} below {c} is not closed under t^{a}"
+                    f"missing members {_bits(missing)} are not closed under t^{a}"
                 )
 
     # -- value semantics ---------------------------------------------------
 
     @property
     def is_zero(self) -> bool:
-        return self.conductor is None
+        return self.missing is None
 
     @property
     def is_unit(self) -> bool:
-        return self.conductor == 0
+        return self.missing == 0
+
+    @property
+    def conductor(self) -> int | None:
+        """One past the last member missing; None for the zero ideal."""
+        return None if self.missing is None else self.missing.bit_length()
 
     @property
     def fpart(self) -> tuple:
         """Sorted ideal elements below the conductor."""
-        return _bits(self.mask)
+        if self.missing is None:
+            return ()
+        return _bits(self._elements(self.missing.bit_length()))
 
     def __eq__(self, other):
         if not isinstance(other, SemigroupIdeal):
             return NotImplemented
-        return (
-            self.ring == other.ring
-            and self.mask == other.mask
-            and self.conductor == other.conductor
-        )
+        return self.ring == other.ring and self.missing == other.missing
 
     def __hash__(self):
-        return hash((self.ring, self.mask, self.conductor))
+        return hash((self.ring, self.missing))
 
     def __repr__(self):
         return f"SemigroupIdeal({self.ring!r}, fpart={self.fpart}, conductor={self.conductor})"
@@ -733,12 +748,11 @@ class SemigroupIdeal(_Power):
 
     def full_bound(self) -> int:
         """A bound B with [B, oo) entirely inside the ideal."""
-        return max(self.conductor, self.ring.conductor)
+        return max(self.missing.bit_length(), self.ring.conductor)
 
     def _elements(self, bound: int) -> int:
-        """Mask of the ideal elements below bound, for bound >= conductor."""
-        c = self.conductor
-        return self.mask | (self.ring.member_mask(bound) >> c << c)
+        """Mask of the ideal elements below bound."""
+        return self.ring.member_mask(bound) & ~self.missing
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -760,44 +774,41 @@ class SemigroupIdeal(_Power):
         prod = 0
         for g in gens:
             prod |= elems << g
-        return _from_mask(self.ring, prod, base + gens[0])
+        missing = self.ring.member_mask(base + gens[0]) & ~prod
+        return SemigroupIdeal(self.ring, (), _missing=missing)
 
     def __add__(self, other):
         self._check(other)
         if self.is_zero or other.is_zero:
             return other if self.is_zero else self
-        bound = max(self.conductor, other.conductor)
-        return _from_mask(self.ring, self._elements(bound) | other._elements(bound), bound)
+        return SemigroupIdeal(self.ring, (), _missing=self.missing & other.missing)
 
     def intersect(self, other):
         self._check(other)
         if self.is_zero or other.is_zero:
             return self.ring.zero_ideal()
-        bound = max(self.conductor, other.conductor)
-        return _from_mask(self.ring, self._elements(bound) & other._elements(bound), bound)
+        return SemigroupIdeal(self.ring, (), _missing=self.missing | other.missing)
 
     def colon(self, other):
-        """(self : other): members s with s + b in self for each generator b."""
+        """(self : other): members s with s + b in self for each generator b,
+        so s is missing when some s + b is."""
         self._check(other)
         if other.is_zero:
             raise InputError("colon by the zero ideal")
         if self.is_zero:
             return self.ring.zero_ideal()
-        gens = other.minimal_generators()
-        # from bound on, s + b reaches the conductor for every b
-        bound = max(self.conductor - gens[0], 0)
-        elems = self.ring.member_mask(bound)
-        for b in gens:
-            elems &= self._elements(bound + b) >> b
-        return _from_mask(self.ring, elems, bound)
+        missing = self.missing
+        shifted = 0
+        for b in other.minimal_generators():
+            shifted |= missing >> b
+        members = self.ring.member_mask(shifted.bit_length())
+        return SemigroupIdeal(self.ring, (), _missing=members & shifted)
 
     # -- membership and comparison --------------------------------------
 
     def contains_element(self, valuation) -> bool:
         v = self.ring.validate_monomial(valuation)
-        if self.is_zero:
-            return False
-        return v >= self.conductor or bool(self.mask >> v & 1)
+        return not self.is_zero and not self.missing >> v & 1
 
     def contains(self, other) -> bool:
         self._check(other)
@@ -805,8 +816,7 @@ class SemigroupIdeal(_Power):
             return True
         if self.is_zero:
             return False
-        bound = max(self.conductor, other.conductor)
-        return not other._elements(bound) & ~self._elements(bound)
+        return not self.missing & ~other.missing
 
     def minimal_generators(self) -> tuple:
         """Valuations generating the ideal: the elements of self outside
@@ -833,10 +843,10 @@ class SemigroupIdeal(_Power):
         return self.minimal_generators()[0] == big.minimal_generators()[0]
 
     def colength(self):
-        """Length of R/self: members below the conductor outside the ideal."""
+        """Length of R/self: the number of members missing."""
         if self.is_zero:
             return INFINITE
-        return self.ring.member_mask(self.conductor).bit_count() - self.mask.bit_count()
+        return self.missing.bit_count()
 
 
 def _bits(mask: int) -> tuple:
@@ -847,15 +857,3 @@ def _bits(mask: int) -> tuple:
         out.append(low.bit_length() - 1)
         mask ^= low
     return tuple(out)
-
-
-def _mask_parts(ring, elems: int, bound: int) -> tuple:
-    """Canonical (mask, conductor) of the ideal holding every member from
-    bound on and, below bound, the bits of elems (all members): the
-    conductor is one past the last member missing."""
-    c = (ring.member_mask(bound) & ~elems).bit_length()
-    return elems & ((1 << c) - 1), c
-
-
-def _from_mask(ring, elems: int, bound: int) -> SemigroupIdeal:
-    return SemigroupIdeal(ring, (), _parts=_mask_parts(ring, elems, bound))

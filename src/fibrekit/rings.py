@@ -14,8 +14,13 @@ from __future__ import annotations
 
 import math
 
-from .errors import InputError
+from .errors import ComputationError, InputError, InternalInconsistencyError
 from .ideals import MonomialIdeal, SemigroupIdeal
+
+# Largest bound (a1-1)(b-1) on the conductor accepted for a semigroup ring
+# (see SemigroupRing): the member mask is built over that many bits, 2 MB at
+# this size, before any ideal is.
+MAX_CONDUCTOR_BOUND = 1 << 24
 
 
 class PowerSeriesRing:
@@ -104,8 +109,13 @@ class SemigroupRing:
     """k[[t^a : a in S]] for S = <generators>, gcd(generators) = 1.
 
     Membership is tabulated once, as the bitmask of the members below the
-    conductor; anything at or beyond the conductor is a member. dim is
-    always 1.
+    conductor; anything at or beyond the conductor is a member. The mask is
+    built by shift closure over the bound (a1-1)(b-1) plus a1 bits, where b
+    is the least generator coprime to a1 (Schur's bound, b = ak, if none is):
+    starting from {0}, each generator a ORs in the mask shifted by a, 2a,
+    4a, ..., so a handful of bigint shifts replace a per-integer table.
+    A ring whose bound exceeds MAX_CONDUCTOR_BOUND is refused up front with
+    ComputationError (exit 1). dim is always 1.
     """
 
     __slots__ = ("generators", "conductor", "frobenius", "_low_members", "_zero", "_unit", "_maximal")
@@ -122,25 +132,35 @@ class SemigroupRing:
                 "the semigroup must be numerical (gcd 1)"
             )
         self.generators = tuple(gens)
-        a1, amax = gens[0], gens[-1]
-        table = bytearray([1])
-        run = 0
-        # grow until a run of a1 consecutive members certifies the tail
-        cap = 2 * amax * amax + 2 * amax + 2
-        s = 0
-        while run < a1:
-            s += 1
-            if s > cap:
-                raise InputError("semigroup conductor not found within bound")
-            ok = 1 if any(s >= a and table[s - a] for a in gens) else 0
-            table.append(ok)
-            run = run + 1 if ok else 0
-        c = s - a1 + 1
-        while c > 0 and table[c - 1]:
-            c -= 1
+        a1 = gens[0]
+        # every integer from (a1-1)(b-1) on is a member: Sylvester's bound
+        # for a generator b coprime to a1, else Schur's with b = ak (Brauer
+        # 1942); the least such b keeps a large redundant generator from
+        # inflating the bound. a1 more bits certify the conductor
+        b = next((a for a in gens if math.gcd(a1, a) == 1), gens[-1])
+        bound = (a1 - 1) * (b - 1)
+        if bound > MAX_CONDUCTOR_BOUND:
+            raise ComputationError(
+                f"semigroup {tuple(gens)} has conductor bound (a1-1)(b-1) = {bound} "
+                f"with b = {b}, above the supported {MAX_CONDUCTOR_BOUND}"
+            )
+        width = bound + a1
+        full = (1 << width) - 1
+        members = 1
+        for a in gens:
+            # closing under a, 2a, 4a, ... adds every multiple of a below width
+            step = a
+            while step < width:
+                members |= (members << step) & full
+                step <<= 1
+        c = (full & ~members).bit_length()
+        if width - c < a1:
+            raise InternalInconsistencyError(
+                f"semigroup {tuple(gens)}: conductor {c} beyond its bound {bound}"
+            )
         self.conductor = c
         self.frobenius = c - 1
-        self._low_members = sum(1 << s for s in range(c) if table[s])
+        self._low_members = members & ((1 << c) - 1)
         self._zero = None
         self._unit = None
         self._maximal = None

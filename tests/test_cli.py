@@ -95,6 +95,13 @@ class TestAnalyzeCommand:
         assert err.startswith("error: ")
         assert "raise n_max" in err
 
+    def test_huge_semigroup_fails_fast(self, tmp_path, capsys):
+        path = tmp_path / "huge.fk"
+        path.write_text("ring semigroup 4097 4099\nI 4097 4099\nJ 4097\n")
+        code, out, err = run(capsys, "analyze", str(path))
+        assert (code, out) == (1, "")
+        assert "conductor bound (a1-1)(b-1) = 16785408 with b = 4099" in err
+
 
 class TestSmallCommands:
     def test_coeffs(self, tmp_path, capsys):

@@ -204,6 +204,16 @@ class TestX4Criteria:
 
 
 class TestSemigroupCriteria:
+    def test_frontier_multiplicity_211(self):
+        """I = m in k[[t^211, t^223]], J = (t^211): m^n = t^211 m^(n-1)
+        exactly when n t^223 lies in t^211 m^(n-1), which by coprimality
+        needs n >= 211, so r = 210; e_0 = 211 and R/m is the field."""
+        ring = SemigroupRing(211, 223)
+        report = analyze(FiltrationSpec(ring.maximal_ideal(), J=ring.ideal([211])))
+        assert report.reduction.r == 210
+        assert report.e0 == 211
+        assert report.table.h[1] == 1
+
     def test_criterion_set(self, sg_report):
         assert [c.name for c in sg_report.criteria] == [
             "g1-lower-bound",

@@ -142,6 +142,18 @@ class TestOperations:
                     oracle_member(a, p) and oracle_member(b, p)
                 )
 
+    def test_space_intersection_against_membership_oracle(self):
+        rng = random.Random(16)
+        ring = PowerSeriesRing("x", "y", "z")
+        for _ in range(25):
+            a = random_cofinite_ideal(rng, ring, cap=5)
+            b = random_cofinite_ideal(rng, ring, cap=5)
+            meet = a.intersect(b)
+            for p in self.sample_points(3, bound=7):
+                assert meet.contains_element(p) == (
+                    oracle_member(a, p) and oracle_member(b, p)
+                ), (a, b, p)
+
     def test_colon_against_membership_oracle(self):
         # p is in (A : B) iff p + g lies in A for every generator g of B
         rng = random.Random(14)

@@ -295,28 +295,26 @@ class TestHandBuiltParts:
         ring = SemigroupRing(3, 5)
         # (t^3) = 3 + S holds 3, 6, 8, 9 and every member from 11 on; the
         # members 0, 5 and 10 lie outside it
-        i = SemigroupIdeal(ring, (), _parts=(1 << 3 | 1 << 6 | 1 << 8 | 1 << 9, 11))
+        i = SemigroupIdeal(ring, (), _missing=1 << 0 | 1 << 5 | 1 << 10)
         assert i == ring.ideal([3])
         assert i.fpart == (3, 6, 8, 9)
+        assert i.conductor == 11
 
     @pytest.mark.parametrize(
         "parts, message",
         [
-            # {3} and the members from 7 on: 3 + 3 = 6 is missing
-            ((1 << 3, 7), r"not closed under t\^3"),
+            # the missing members: 3 is inside and 3 + 3 = 6 is missing
+            ((0, 6), r"not closed under t\^3"),
             # 4 is a gap of <3, 5>
-            ((1 << 4 | 1 << 3 | 1 << 6, 8), "bad finite part"),
-            # every member from 1 on is inside, so the conductor is 1, not 8
-            ((1 << 3 | 1 << 5 | 1 << 6, 8), "bad finite part"),
-            # a finite-part bit at the conductor
-            ((1 << 8, 8), "bad finite part"),
-            ((1 << 3, None), "zero ideal with finite part"),
+            ((0, 4), "bad finite part"),
+            # 7, the Frobenius number of <3, 5>, is its largest gap
+            ((0, 7), "bad finite part"),
         ],
     )
     def test_bad_parts_raise(self, parts, message):
         ring = SemigroupRing(3, 5)
         with pytest.raises(InternalInconsistencyError, match=message):
-            SemigroupIdeal(ring, (), _parts=parts)
+            SemigroupIdeal(ring, (), _missing=sum(1 << s for s in parts))
 
 
 class TestColength:

@@ -1,8 +1,12 @@
 """Ring model behaviour: validation, formatting, semigroup arithmetic."""
 
+import math
+import random
+
 import pytest
 
-from fibrekit import InputError, PowerSeriesRing, SemigroupRing
+from fibrekit import ComputationError, InputError, PowerSeriesRing, SemigroupRing
+from fibrekit.rings import MAX_CONDUCTOR_BOUND
 
 
 class TestPowerSeriesRing:
@@ -98,6 +102,51 @@ class TestSemigroupRing:
             mask = ring.member_mask(bound)
             assert mask < 1 << bound
             assert [s for s in range(bound) if mask >> s & 1] == ring.members_below(bound)
+
+    @staticmethod
+    def oracle_members(gens):
+        """Conductor and member mask below it, one integer at a time: s is
+        a member when some s - a is, and a1 members in a row end the gaps."""
+        table, run = [True], 1
+        while run < min(gens):
+            s = len(table)
+            table.append(any(s >= a and table[s - a] for a in gens))
+            run = run + 1 if table[-1] else 0
+        c = len(table) - run
+        return c, sum(1 << s for s in range(c) if table[s])
+
+    def semigroups(self):
+        rng = random.Random(41)
+        yield (1,)
+        yield (6, 10, 15)  # no generator coprime to 6: Schur's bound, b = 15
+        for a in (2, 3, 5, 8, 13, 21, 40):
+            # Schur's bound (a-1)a is one past the Frobenius number a^2 - a - 1
+            yield (a, a + 1)
+        for _ in range(40):
+            gens = rng.sample(range(2, 30), rng.randint(1, 4))
+            if math.gcd(*gens) == 1:
+                yield tuple(gens)
+
+    def test_shift_closure_matches_a_per_integer_oracle(self):
+        for gens in self.semigroups():
+            ring = SemigroupRing(*gens)
+            c, mask = self.oracle_members(gens)
+            assert ring.conductor == c, gens
+            assert ring.member_mask(c) == mask, gens
+            assert ring.member_mask(c + max(gens)) == mask | ((1 << c + max(gens)) - (1 << c))
+
+    def test_huge_ring_fails_fast(self):
+        # (4097 - 1)(4099 - 1) = 16785408 is just over the supported bound
+        assert 4096 * 4098 > MAX_CONDUCTOR_BOUND >= 4096 * 4096
+        with pytest.raises(ComputationError, match=r"\(a1-1\)\(b-1\) = 16785408"):
+            SemigroupRing(4097, 4099)
+
+    def test_redundant_large_generator_keeps_the_bound_small(self):
+        # 10^7 + 1 lies in <10, ..., 19>, which holds every integer from 10 on;
+        # Schur's bound (10 - 1)(10^7) would exceed the supported size
+        ring = SemigroupRing(*range(10, 20), 10**7 + 1)
+        assert ring.conductor == 10
+        assert ring.member_mask(10) == 1
 
     def test_whole_numbers_semigroup(self):
         ring = SemigroupRing(1)
