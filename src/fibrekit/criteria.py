@@ -425,7 +425,10 @@ def class_threshold(gens: tuple, box: list) -> int:
     plane k_0 = min(p_1, p_2) - 1, and p_i only falls as b grows, so the
     class b = 0 attains the maximum: it is read off T's pure powers. In
     d >= 3 each class is bounded by |p(b)| - min |v| - (d - 1), with the
-    ceilings precomputed per axis (axes[i][c] depends on b_i = c alone).
+    ceilings precomputed per axis. The column of ceilings on axis i depends
+    on b_i = c alone and changes only where c reaches some u_i mod a_i, so
+    c in {0} and those residues give every distinct column, at most mu + 1
+    per axis, and the maximum runs over their products only.
     """
     if len(box) == 2:
         # canonical plane generators run from (0, y) to (x, 0)
@@ -433,7 +436,10 @@ def class_threshold(gens: tuple, box: list) -> int:
         return min(-(-x // box[0]), -(-y // box[1])) - 1
     d = len(box)
     axes = [
-        [tuple(-(-max(u[i] - c, 0) // a) for u in gens) for c in range(a)]
+        {
+            tuple(-(-max(u[i] - c, 0) // a) for u in gens)
+            for c in {0}.union(u[i] % a for u in gens)
+        }
         for i, a in enumerate(box)
     ]
 

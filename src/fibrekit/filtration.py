@@ -15,6 +15,11 @@ J) and validates the defining hypotheses up front:
 Terms, K-terms, J-terms and K J-terms are cached on the spec. Each is
 built as I_n times I_1, K, J or K J: a product iterates over the generators
 of its right factor, so the factor with few generators goes on the right.
+In an adic spec with K = I_1 the caches share their products: K I_n is
+I_(n+1) and K J I_n is J I_(n+1), so each side first looks up the other
+and whichever was built first is reused. A reused product gains no key in
+the cache of the side that asked, so no term is cached past the degrees
+asked for (under ideals.CROSS_CHECK the product is built too and compared).
 build_table evaluates H(n) = len(R/I_n), H_K(n) = len(R/K I_n) and
 H_F(n) = len(I_n/K I_n) = H_K(n) - H(n), after checking K I_n <= I_n.
 
@@ -36,6 +41,20 @@ At n >= 1 the entries "K lower", "K upper", "K cm" and "G cm" first read
 building their ideals when it is 0: then I_n = J I_{n-1}, and each of the
 four quotients is zero for every n, K and filtration (proof in length_sum).
 Under ideals.CROSS_CHECK each implied 0 is also computed directly.
+
+In dimension 1 with a principal J = (f), "G depth" and "K upper" are read
+off colengths the table already holds:
+
+  "G depth"(n) = len(R/J) + H(n-1) - H(n),
+  "K upper"(n) = len(R/J) + H_K(n-1) - H_K(n).
+
+The ring is a domain, so f is a nonzerodivisor and len(R/fE) = len(R/f) +
+len(R/E) for every nonzero ideal E (R/fE contains fR/fE, isomorphic to
+R/E); with E = I_(n-1) and E = K I_(n-1) this is len(R/J I_(n-1)) and
+len(R/K J I_(n-1)). So no K J I_(n-1) is built in d = 1 past n = 0. This is
+the d = 1 route, not a second one: only under ideals.CROSS_CHECK is the
+ideal pair also built and compared, and a mismatch or a negative value
+raises InternalInconsistencyError.
 
 Only the integers are memoized; the ideals come from the term caches.
 build_table records each H_K(n) it computes as "K colength" at n, so
@@ -68,6 +87,13 @@ _LEDGER = {
     "colon": lambda s, n: (s.kterm(n - 1).colon(s.require_j()), s.kterm(n - 2)),
 }
 
+# d = 1 entry -> the ideals E_(n-1), E_n with len(R/J) + len(R/E_(n-1)) -
+# len(R/E_n) its value at n, for a principal J (see the module docstring)
+_TABLE = {
+    "K upper": lambda s, n: (s.kterm(n - 1), s.kterm(n)),
+    "G depth": lambda s, n: (s.term(n - 1), s.term(n)),
+}
+
 # entries that are 0 at any n >= 1 where "G depth" is 0 (see length_sum)
 _IMPLIED_BY_G_DEPTH = frozenset(("K lower", "K upper", "K cm", "G cm"))
 # entries whose sum over n >= 1 stops at the reduction number
@@ -98,6 +124,8 @@ class FiltrationSpec:
         self.J = J
         self.n_max = n_max
         self._terms = {0: ring.unit_ideal(), 1: I}
+        # adic K = I_1: K I_n = I_(n+1) and K J I_n = J I_(n+1)
+        self._k_is_i = truncated_terms is None and self.K == I
         self._kterms: dict = {}
         self._jterms: dict = {}
         self._kjterms: dict = {}
@@ -161,19 +189,37 @@ class FiltrationSpec:
 
     def term(self, n: int):
         """I_n (I_0 = R), built as I_n = I_{n-1} I_1 past the explicit terms."""
+        terms = self._terms
+        got = terms.get(n)
+        if got is not None:
+            return got
         if n < 0:
             raise InputError("filtration terms are indexed by n >= 0")
-        terms = self._terms
         for i in range(len(terms), n + 1):
-            terms[i] = terms[i - 1] * self.I
+            got = self._shared(self._kterms, i - 1, i - 1, self.I)
+            terms[i] = terms[i - 1] * self.I if got is None else got
         return terms[n]
 
+    def _shared(self, cache, key, n, right):
+        """cache[key] when K = I_1 in an adic spec makes it I_n * right (see
+        the module docstring), else None. Under ideals.CROSS_CHECK the
+        product is also built and compared."""
+        if not self._k_is_i or n < 0:
+            return None
+        got = cache.get(key)
+        if got is not None and ideals.CROSS_CHECK and got != self.term(n) * right:
+            raise InternalInconsistencyError(
+                f"I_{n} * {right} differs from the term it shares although K = I_1"
+            )
+        return got
+
     def kterm(self, n: int):
-        """K * I_n."""
+        """K * I_n; I_(n+1) when K = I_1 shares it."""
         got = self._kterms.get(n)
         if got is None:
-            got = self.term(n) * self.K
-            self._kterms[n] = got
+            got = self._shared(self._terms, n + 1, n, self.K)
+            if got is None:
+                got = self._kterms[n] = self.term(n) * self.K
         return got
 
     def require_j(self):
@@ -195,21 +241,23 @@ class FiltrationSpec:
         return self.J
 
     def jterm(self, n: int):
-        """J * I_n."""
+        """J * I_n; K J I_(n-1) when K = I_1 shares it."""
         got = self._jterms.get(n)
         if got is None:
-            got = self.term(n) * self.require_j()
-            self._jterms[n] = got
+            got = self._shared(self._kjterms, n - 1, n, self.J)
+            if got is None:
+                got = self._jterms[n] = self.term(n) * self.require_j()
         return got
 
     def kjterm(self, n: int):
-        """K * J * I_n."""
+        """K * J * I_n; J I_(n+1) when K = I_1 shares it."""
         got = self._kjterms.get(n)
         if got is None:
             if self._kj is None:
                 self._kj = self.K * self.require_j()
-            got = self.term(n) * self._kj
-            self._kjterms[n] = got
+            got = self._shared(self._jterms, n + 1, n, self._kj)
+            if got is None:
+                got = self._kjterms[n] = self.term(n) * self._kj
         return got
 
     def length(self, name: str, n: int) -> int:
@@ -223,9 +271,26 @@ class FiltrationSpec:
                     raise InternalInconsistencyError(
                         f"{name!r} at n = {n} is nonzero although I_n = J I_(n-1)"
                     )
+            elif (
+                name in _TABLE
+                and self.dim == 1
+                and len(self.require_j().minimal_generators()) == 1
+            ):
+                got = self._table_length(name, n)
             else:
                 got = quotient_length(*_LEDGER[name](self, n))
             self._lengths[key] = got
+        return got
+
+    def _table_length(self, name: str, n: int) -> int:
+        """The d = 1 entry `name` at n off the table's colengths."""
+        before, here = _TABLE[name](self, n)
+        got = self.J.colength() + before.colength() - here.colength()
+        if got < 0 or ideals.CROSS_CHECK and got != quotient_length(*_LEDGER[name](self, n)):
+            raise InternalInconsistencyError(
+                f"{name!r} at n = {n} reads {got} off the Hilbert table: "
+                "negative, or not its quotient length"
+            )
         return got
 
     def length_sum(self, name: str, reduction_number: int) -> int:

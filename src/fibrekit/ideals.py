@@ -13,8 +13,8 @@ equality of ideals:
 
 Nothing depends on the coefficient field; every operation is lattice or
 semigroup combinatorics over plain integers. Ideals are immutable values.
-A semigroup ideal's minimal generators and a monomial ideal's colength are
-cached on first use, an immutable value, so instances may be shared between
+An ideal's colength and a semigroup ideal's minimal generators are cached
+on first use, an immutable value, so instances may be shared between
 threads.
 
 In both models a product with a unit factor returns the other factor. A
@@ -28,7 +28,7 @@ right by each generator of the divisor and keeps the members, and a
 colength is a popcount (`int.bit_count`, Python 3.10). A product ORs the
 left factor's element mask shifted by each minimal generator of the right
 one. Every construction checks that the missing members lie in S and that
-the ideal is closed under each ring generator, one shift apiece.
+the ideal is closed under each minimal generator of S, one shift apiece.
 
 Monomial ideals compute on staircases. In d = 1 every nonzero ideal is
 (x^a), so each kernel compares exponents. In the plane (d = 2), a product
@@ -662,7 +662,7 @@ class SemigroupIdeal(_Power):
     sorted tuple of the ideal's elements below the conductor.
     """
 
-    __slots__ = ("ring", "missing", "_mingens")
+    __slots__ = ("ring", "missing", "_mingens", "_colength")
 
     def __init__(self, ring, generators: Iterable, *, _missing: int | None = None):
         self.ring = ring
@@ -680,6 +680,7 @@ class SemigroupIdeal(_Power):
                     elems |= members << g
                 self.missing = members & ~elems
         self._mingens = None
+        self._colength = None
         self._validate()
 
     def _validate(self):
@@ -693,7 +694,7 @@ class SemigroupIdeal(_Power):
             )
         # s in the ideal with s + a missing breaks closure under t^a
         inside = members & ~missing
-        for a in self.ring.generators:
+        for a in self.ring.minimal_generators:
             if missing >> a & inside:
                 raise InternalInconsistencyError(
                     f"missing members {_bits(missing)} are not closed under t^{a}"
@@ -820,15 +821,16 @@ class SemigroupIdeal(_Power):
 
     def minimal_generators(self) -> tuple:
         """Valuations generating the ideal: the elements of self outside
-        t^a * self for every ring generator a; computed once per ideal."""
+        t^a * self for every minimal generator a of S; computed once per
+        ideal."""
         if self._mingens is None:
             if self.is_zero:
                 self._mingens = ()
             else:
-                ring = self.ring
-                elems = self._elements(self.full_bound() + ring.generators[0])
+                gens = self.ring.minimal_generators
+                elems = self._elements(self.full_bound() + gens[0])
                 shifted = 0
-                for a in ring.generators:
+                for a in gens:
                     shifted |= elems << a
                 self._mingens = _bits(elems & ~shifted)
         return self._mingens
@@ -843,17 +845,22 @@ class SemigroupIdeal(_Power):
         return self.minimal_generators()[0] == big.minimal_generators()[0]
 
     def colength(self):
-        """Length of R/self: the number of members missing."""
-        if self.is_zero:
-            return INFINITE
-        return self.missing.bit_count()
+        """Length of R/self: the number of members missing, counted once."""
+        got = self._colength
+        if got is None:
+            if self.missing is None:
+                return INFINITE
+            got = self._colength = self.missing.bit_count()
+        return got
 
 
 def _bits(mask: int) -> tuple:
-    """Positions of the set bits of mask, ascending."""
+    """Positions of the set bits of mask >= 0, ascending: one scan of its
+    binary digits, lowest first."""
+    digits = bin(mask)[:1:-1]
     out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
+    i = digits.find("1")
+    while i >= 0:
+        out.append(i)
+        i = digits.find("1", i + 1)
     return tuple(out)

@@ -114,11 +114,23 @@ class SemigroupRing:
     is the least generator coprime to a1 (Schur's bound, b = ak, if none is):
     starting from {0}, each generator a ORs in the mask shifted by a, 2a,
     4a, ..., so a handful of bigint shifts replace a per-integer table.
-    A ring whose bound exceeds MAX_CONDUCTOR_BOUND is refused up front with
-    ComputationError (exit 1). dim is always 1.
+    The generators are closed over in increasing order, so a generator the
+    smaller ones already reach is redundant; `minimal_generators` keeps the
+    others, and `generators` stays as given. A ring whose bound exceeds
+    MAX_CONDUCTOR_BOUND is refused up front with ComputationError (exit 1).
+    dim is always 1.
     """
 
-    __slots__ = ("generators", "conductor", "frobenius", "_low_members", "_zero", "_unit", "_maximal")
+    __slots__ = (
+        "generators",
+        "minimal_generators",
+        "conductor",
+        "frobenius",
+        "_low_members",
+        "_zero",
+        "_unit",
+        "_maximal",
+    )
 
     def __init__(self, *generators: int):
         gens = sorted({int(a) for a in generators})
@@ -147,7 +159,12 @@ class SemigroupRing:
         width = bound + a1
         full = (1 << width) - 1
         members = 1
+        minimal = []
         for a in gens:
+            # from the bound on, a is reached by a1 and b, both smaller
+            if minimal and (a >= width or members >> a & 1):
+                continue
+            minimal.append(a)
             # closing under a, 2a, 4a, ... adds every multiple of a below width
             step = a
             while step < width:
@@ -158,6 +175,7 @@ class SemigroupRing:
             raise InternalInconsistencyError(
                 f"semigroup {tuple(gens)}: conductor {c} beyond its bound {bound}"
             )
+        self.minimal_generators = tuple(minimal)
         self.conductor = c
         self.frobenius = c - 1
         self._low_members = members & ((1 << c) - 1)
@@ -232,5 +250,5 @@ class SemigroupRing:
 
     def maximal_ideal(self) -> SemigroupIdeal:
         if self._maximal is None:
-            self._maximal = SemigroupIdeal(self, self.generators)
+            self._maximal = SemigroupIdeal(self, self.minimal_generators)
         return self._maximal

@@ -179,3 +179,43 @@ def test_postulation_past_the_reduction_number_is_certified():
     assert e.postulation == 4 and report.coefficients.certified_from >= 4
     assert [e.value(n) for n in range(4, 12)] == h[4:]
     assert e.value(3) != h[3]
+
+
+def every_class_threshold(gens, box):
+    """The d >= 3 bound of class_threshold taken over all prod a_i residue
+    classes, one column of ceilings per residue c = 0..a_i - 1."""
+    d = len(box)
+    axes = [
+        [tuple(-(-max(u[i] - c, 0) // a) for u in gens) for c in range(a)]
+        for i, a in enumerate(box)
+    ]
+
+    def spread(cols):
+        cands = list(zip(*cols))
+        top = sum(min(v[i] for v in cands if sum(v) == v[i]) for i in range(d))
+        return top - min(map(sum, cands))
+
+    return max(map(spread, itertools.product(*axes))) - (d - 1)
+
+
+@pytest.mark.parametrize("dim,cases,a_cap", [(3, 120, 9), (4, 40, 5)], ids=["d3", "d4"])
+def test_distinct_class_columns_give_the_same_threshold(dim, cases, a_cap):
+    rng = random.Random(1200 + dim)
+    ring = PowerSeriesRing(*"xyzw"[:dim])
+    for _ in range(cases):
+        ideal = ring.ideal(random_cofinite_gens(rng, dim, 12))
+        gens = (ideal * ideal if rng.random() < 0.5 else ideal).gens
+        box = [rng.randint(1, a_cap) for _ in range(dim)]
+        assert class_threshold(gens, box) == every_class_threshold(gens, box), (gens, box)
+
+
+def test_a_huge_pure_power_costs_no_class_per_residue():
+    # J = (x^100000, y^2, z^2) has 400000 residue classes, but x's column
+    # of ceilings takes only the residues 0 and 1 of the generators' x
+    ring = PowerSeriesRing("x", "y", "z")
+    i = ring.ideal([(100000, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 1)])
+    j = ring.ideal([(100000, 0, 0), (0, 2, 0), (0, 0, 2)])
+    report = analyze(FiltrationSpec(i, J=j))
+    assert report.reduction.r == 1
+    assert report.coefficients.certified_from == 3
+    assert report.coefficients.e0 == 400000

@@ -37,6 +37,10 @@ def plane():
     return PowerSeriesRing("x", "y")
 
 
+def plane_m():
+    return plane().maximal_ideal()
+
+
 class TestSpecValidation:
     def test_defaults(self):
         ring = plane()
@@ -354,7 +358,7 @@ class TestImpliedEntries:
         for spec, r in corpus_specs(kind, corpus):
             for n in range(1, r + spec.dim + 3):
                 implied += spec.length("G depth", n) == 0
-                for name in IMPLIED:
+                for name in ("G depth",) + IMPLIED:
                     want = direct_entry(spec, name, n)
                     assert spec.length(name, n) == want, (spec, name, n)
         # every corpus reaches the rule: each range runs past r
@@ -364,8 +368,9 @@ class TestImpliedEntries:
     def test_analysis_builds_no_implied_pair(self, monkeypatch, make):
         spec = make()
         computed, _ = count_ledger(monkeypatch)
-        analyze(spec)
-        zero = {n for name, n in computed if name == "G depth" and spec.length(name, n) == 0}
+        r = analyze(spec).reduction.r
+        # "G depth" is in the ledger at n = 1..r+1, in d = 1 off the table
+        zero = {n for n in range(1, r + 2) if spec.length("G depth", n) == 0}
         assert zero
         assert not [(name, n) for name, n in computed if name in IMPLIED and n in zero]
 
@@ -392,6 +397,130 @@ class TestImpliedEntries:
                 spec.length(name, 3)
         # production records the implied 0 without building the pair
         assert make_x3_spec().length(name, 3) == 0
+
+
+def semigroup_m_spec(a, b):
+    """I = K = m in k[[t^a, t^b]], J = (t^a)."""
+    ring = SemigroupRing(a, b)
+    m = ring.maximal_ideal()
+    return FiltrationSpec(m, K=m, J=ring.ideal([a]))
+
+
+class TestDimensionOneTable:
+    """In d = 1 with J = (f), "G depth" and "K upper" come off the table."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [make_sg_spec] + [lambda a=a, b=b: semigroup_m_spec(a, b) for a, b in ((5, 7), (11, 13))],
+        ids=["K=m", "I=K=m-5-7", "I=K=m-11-13"],
+    )
+    def test_analysis_builds_no_kj_term_past_zero(self, make):
+        spec = make()
+        analyze(spec)
+        assert set(spec._kjterms) <= {0}
+
+    @pytest.mark.parametrize(
+        "make",
+        [make_sg_spec, lambda: semigroup_m_spec(5, 7), lambda: semigroup_m_spec(4, 9)],
+    )
+    def test_table_entries_match_their_definitions(self, make):
+        spec = make()
+        h = build_table(spec, 12)
+        lj = spec.J.colength()
+        for n in range(1, 12):
+            assert spec.length("G depth", n) == lj + h.h[n - 1] - h.h[n]
+            assert spec.length("K upper", n) == lj + h.hk[n - 1] - h.hk[n]
+            for name in ("G depth", "K upper"):
+                assert spec.length(name, n) == direct_entry(spec, name, n)
+
+    def test_monomial_line_reads_the_table_too(self):
+        ring = PowerSeriesRing("x")
+        i = ring.ideal([(3,)])
+        spec = FiltrationSpec(i, K=ring.ideal([(2,)]), J=i)
+        for n in range(1, 6):
+            assert spec.length("G depth", n) == 0
+            assert spec.length("K upper", n) == direct_entry(spec, "K upper", n) == 0
+
+    def test_a_j_with_two_generators_keeps_the_ideal_route(self, monkeypatch):
+        ring = SemigroupRing(4, 5, 6, 7)
+        spec = FiltrationSpec(ring.ideal([4, 5, 6]), J=ring.ideal([4, 5]))
+        computed, _ = count_ledger(monkeypatch)
+        assert spec.length("G depth", 2) == direct_entry(spec, "G depth", 2)
+        assert computed == [("G depth", 2)]
+
+    @pytest.mark.parametrize("name", ["G depth", "K upper"])
+    def test_cross_check_catches_a_wrong_table_value(self, monkeypatch, name):
+        # a wrong pair: E_(n-1) = E_n reads len(R/J) = 4
+        monkeypatch.setitem(
+            fibrekit.filtration._TABLE, name, lambda s, n: (s.term(n), s.term(n))
+        )
+        with colength_cross_check():
+            with pytest.raises(InternalInconsistencyError):
+                make_sg_spec().length(name, 1)
+        assert make_sg_spec().length(name, 1) == 4
+
+    def test_a_negative_table_value_raises(self, monkeypatch):
+        monkeypatch.setitem(
+            fibrekit.filtration._TABLE, "G depth", lambda s, n: (s.term(0), s.term(3))
+        )
+        with pytest.raises(InternalInconsistencyError):
+            make_sg_spec().length("G depth", 1)
+
+
+class TestSharedTerms:
+    """An adic spec with K = I_1 shares K I_n = I_(n+1), K J I_n = J I_(n+1)."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: semigroup_m_spec(5, 7),
+            lambda: FiltrationSpec(plane_m(), K=plane_m(), J=plane_m()),
+        ],
+    )
+    def test_k_terms_are_the_next_terms(self, make):
+        k_first = make()
+        kterms = [k_first.kterm(n) for n in range(4)]
+        kjterms = [k_first.kjterm(n) for n in range(4)]
+        # each kterm(n) built only I_n, and no J I_(n+1) was asked for
+        assert max(k_first._terms) == 3 and not k_first._jterms
+        assert [k_first.term(n + 1) for n in range(4)] == kterms
+        assert all(k_first.term(n + 1) is k for n, k in enumerate(kterms))
+        assert all(k_first.jterm(n + 1) is k for n, k in enumerate(kjterms))
+        assert not k_first._jterms
+
+        term_first = make()
+        terms = [term_first.term(n + 1) for n in range(4)]
+        jterms = [term_first.jterm(n + 1) for n in range(4)]
+        assert all(term_first.kterm(n) is t for n, t in enumerate(terms))
+        assert all(term_first.kjterm(n) is t for n, t in enumerate(jterms))
+        assert not term_first._kterms and not term_first._kjterms
+
+        with colength_cross_check():
+            checked = make()
+            k, j = checked.K, checked.J
+            for n in range(4):
+                assert checked.kterm(n) == checked.term(n) * k
+                assert checked.term(n + 1) is checked.kterm(n)
+                assert checked.kjterm(n) == checked.term(n) * (k * j)
+                assert checked.jterm(n + 1) is checked.kjterm(n)
+
+    def test_cross_check_catches_a_wrong_shared_term(self):
+        spec = semigroup_m_spec(5, 7)
+        spec.term(3)
+        spec._terms[3] = spec.term(2)
+        with colength_cross_check():
+            with pytest.raises(InternalInconsistencyError):
+                spec.kterm(2)
+
+    def test_truncated_or_unequal_k_shares_nothing(self):
+        ring = plane()
+        i = ring.ideal([(2, 0), (0, 2)])
+        truncated = FiltrationSpec(i, K=i, J=i, truncated_terms=(i,))
+        truncated.term(2)
+        assert truncated.kterm(1) is not truncated.term(2)
+        spec = make_x3_spec()
+        spec.term(2)
+        assert spec.kterm(1) is not spec.term(2)
 
 
 class TestLedgerLogging:

@@ -22,6 +22,7 @@ from fibrekit import (
     analyze,
     quotient_length,
 )
+from fibrekit.ideals import _bits
 
 
 def membership_table(gens, bound):
@@ -193,6 +194,23 @@ class TestOperationsAgainstOracle:
             )
             assert ring.ideal(i_gens).minimal_generators() == tuple(expected)
 
+    def test_bits_match_the_lowest_bit_loop(self):
+        def lowest_bit_loop(mask):
+            out = []
+            while mask:
+                low = mask & -mask
+                out.append(low.bit_length() - 1)
+                mask ^= low
+            return tuple(out)
+
+        rng = random.Random(29)
+        masks = [0, 1, 1 << 4000, (1 << 4000) - 1]
+        masks += [rng.getrandbits(rng.randint(1, 3000)) for _ in range(200)]
+        # sparse masks, as minimal generators are
+        masks += [sum(1 << rng.randrange(5000) for _ in range(5)) for _ in range(50)]
+        for mask in masks:
+            assert _bits(mask) == lowest_bit_loop(mask)
+
     def test_products_commute(self):
         rng = random.Random(28)
         for _ in range(20):
@@ -331,6 +349,12 @@ class TestColength:
             elems = oracle_elements(gens, i_gens, bound)
             expected = sum(1 for s in range(bound) if table[s] and s not in elems)
             assert ideal.colength() == expected
+
+    def test_colength_is_counted_once(self):
+        ideal = SemigroupRing(4, 5, 6, 7).ideal([4])
+        assert ideal._colength is None
+        assert ideal.colength() == 4
+        assert ideal._colength == 4 and ideal.colength() == 4
 
     def test_known_colengths_4567(self):
         ring = SemigroupRing(4, 5, 6, 7)

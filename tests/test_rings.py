@@ -5,7 +5,15 @@ import random
 
 import pytest
 
-from fibrekit import ComputationError, InputError, PowerSeriesRing, SemigroupRing
+from fibrekit import (
+    ComputationError,
+    FiltrationSpec,
+    InputError,
+    PowerSeriesRing,
+    SemigroupRing,
+    analyze,
+)
+from fibrekit.reporting import as_dict, describe_ring
 from fibrekit.rings import MAX_CONDUCTOR_BOUND
 
 
@@ -147,6 +155,35 @@ class TestSemigroupRing:
         ring = SemigroupRing(*range(10, 20), 10**7 + 1)
         assert ring.conductor == 10
         assert ring.member_mask(10) == 1
+
+    def test_minimal_generators_match_an_oracle(self):
+        # a generator is redundant when it is a sum of two nonzero members
+        for gens in self.semigroups():
+            ring = SemigroupRing(*gens)
+            members = ring.members_below(max(gens) + 1)
+            want = tuple(
+                a
+                for a in sorted(set(gens))
+                if not any(s and a - s in members for s in members if 0 < s < a)
+            )
+            assert ring.minimal_generators == want, gens
+            assert ring.generators == tuple(sorted(set(gens)))
+
+    def test_a_redundant_huge_generator_is_never_shifted_by(self):
+        # 10^8 + 1 and 21 both lie in <10, ..., 19>: the two rings differ
+        # only in the generators the report echoes
+        huge = SemigroupRing(*range(10, 20), 10**8 + 1)
+        small = SemigroupRing(*range(10, 20), 21)
+        assert huge.minimal_generators == small.minimal_generators == tuple(range(10, 20))
+        assert huge.generators[-1] == 10**8 + 1
+        trees = []
+        for ring in (huge, small):
+            spec = FiltrationSpec(ring.maximal_ideal(), J=ring.ideal([10]))
+            tree = as_dict(analyze(spec))
+            assert tree["input"].pop("ring") == describe_ring(ring)
+            trees.append(tree)
+        assert trees[0] == trees[1]
+        assert trees[0]["reduction"]["r"] == 1
 
     def test_whole_numbers_semigroup(self):
         ring = SemigroupRing(1)
