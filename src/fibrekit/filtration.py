@@ -15,11 +15,10 @@ J) and validates the defining hypotheses up front:
 Terms, K-terms, J-terms and K J-terms are cached on the spec. Each is
 built as I_n times I_1, K, J or K J: a product iterates over the generators
 of its right factor, so the factor with few generators goes on the right.
-In an adic spec with K = I_1 the caches share their products: K I_n is
-I_(n+1) and K J I_n is J I_(n+1), so each side first looks up the other
-and whichever was built first is reused. A reused product gains no key in
-the cache of the side that asked, so no term is cached past the degrees
-asked for (under ideals.CROSS_CHECK the product is built too and compared).
+In an adic spec with K = I_1, K I_n is I_(n+1) and K J I_n is J I_(n+1),
+so kterm and kjterm delegate to term and jterm and their own caches stay
+empty; under ideals.CROSS_CHECK they also build I_n K and I_n (K J) and
+compare.
 build_table evaluates H(n) = len(R/I_n), H_K(n) = len(R/K I_n) and
 H_F(n) = len(I_n/K I_n) = H_K(n) - H(n), after checking K I_n <= I_n.
 
@@ -196,30 +195,25 @@ class FiltrationSpec:
         if n < 0:
             raise InputError("filtration terms are indexed by n >= 0")
         for i in range(len(terms), n + 1):
-            got = self._shared(self._kterms, i - 1, i - 1, self.I)
-            terms[i] = terms[i - 1] * self.I if got is None else got
+            terms[i] = terms[i - 1] * self.I
         return terms[n]
 
-    def _shared(self, cache, key, n, right):
-        """cache[key] when K = I_1 in an adic spec makes it I_n * right (see
-        the module docstring), else None. Under ideals.CROSS_CHECK the
-        product is also built and compared."""
-        if not self._k_is_i or n < 0:
-            return None
-        got = cache.get(key)
-        if got is not None and ideals.CROSS_CHECK and got != self.term(n) * right:
+    def _delegated(self, got, n, right):
+        """got, the term that stands for I_n * right when K = I_1; under
+        ideals.CROSS_CHECK the product is also built and compared."""
+        if ideals.CROSS_CHECK and got != self.term(n) * right:
             raise InternalInconsistencyError(
-                f"I_{n} * {right} differs from the term it shares although K = I_1"
+                f"I_{n} * {right} differs from the next term although K = I_1"
             )
         return got
 
     def kterm(self, n: int):
-        """K * I_n; I_(n+1) when K = I_1 shares it."""
+        """K * I_n; I_(n+1) when K = I_1 (a negative n raises in term)."""
+        if self._k_is_i and n >= 0:
+            return self._delegated(self.term(n + 1), n, self.K)
         got = self._kterms.get(n)
         if got is None:
-            got = self._shared(self._terms, n + 1, n, self.K)
-            if got is None:
-                got = self._kterms[n] = self.term(n) * self.K
+            got = self._kterms[n] = self.term(n) * self.K
         return got
 
     def require_j(self):
@@ -241,23 +235,21 @@ class FiltrationSpec:
         return self.J
 
     def jterm(self, n: int):
-        """J * I_n; K J I_(n-1) when K = I_1 shares it."""
+        """J * I_n."""
         got = self._jterms.get(n)
         if got is None:
-            got = self._shared(self._kjterms, n - 1, n, self.J)
-            if got is None:
-                got = self._jterms[n] = self.term(n) * self.require_j()
+            got = self._jterms[n] = self.term(n) * self.require_j()
         return got
 
     def kjterm(self, n: int):
-        """K * J * I_n; J I_(n+1) when K = I_1 shares it."""
+        """K * J * I_n; J I_(n+1) when K = I_1."""
+        if self._kj is None:
+            self._kj = self.K * self.require_j()
+        if self._k_is_i and n >= 0:
+            return self._delegated(self.jterm(n + 1), n, self._kj)
         got = self._kjterms.get(n)
         if got is None:
-            if self._kj is None:
-                self._kj = self.K * self.require_j()
-            got = self._shared(self._jterms, n + 1, n, self._kj)
-            if got is None:
-                got = self._kjterms[n] = self.term(n) * self._kj
+            got = self._kjterms[n] = self.term(n) * self._kj
         return got
 
     def length(self, name: str, n: int) -> int:

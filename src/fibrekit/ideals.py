@@ -43,9 +43,9 @@ distinct x value of the points, the least y among the (x, y) projections
 taken so far at or left of it. A point is kept when it lies below the
 profile, which it then lowers; a colength adds, per slab between distinct
 z values, its height times the area under the profile. In d >= 4 the same
-three kernels are slice kernels: they sweep the distinct last coordinates
-upward, keep an active antichain of the projections seen so far, and hand
-each level to the same code one dimension down, ending in the d = 3 sweep.
+three kernels read one slab walk: per distinct last coordinate z, the
+antichain A_z of the projections of the points at or below z, handed to the
+same code one dimension down, ending in the d = 3 sweep.
 Setting the module flag CROSS_CHECK = True makes containment re-run the
 divisibility test and makes colength also run inclusion-exclusion over
 generator subsets (for <= 20 generators) and a lattice-point scan of the
@@ -98,8 +98,15 @@ def quotient_length(big, small) -> int:
     return b - a
 
 
-class _Power:
-    """Mixin providing A ** n by repeated multiplication."""
+class _Ideal:
+    """Mixin for both models: the ring gate of every binary operation and
+    A ** n by repeated multiplication. `_kind` names the model in errors."""
+
+    def _check(self, other):
+        if not isinstance(other, type(self)):
+            raise TypeError(f"expected a {self._kind} ideal, got {type(other).__name__}")
+        if other.ring is not self.ring and other.ring != self.ring:
+            raise RingMismatchError(f"{self._kind} ideals from different rings")
 
     def __pow__(self, n: int):
         if not isinstance(n, int):
@@ -134,17 +141,27 @@ def _antichain(cands: Iterable[tuple]) -> tuple:
         return _staircase(cands)
     if len(cands[0]) == 3:
         return _antichain_sweep(cands)
-    # d >= 4, level by level in the last coordinate: a candidate is minimal
-    # iff its projection is minimal within its level and lies outside the
-    # ideal of the projections kept on the levels below
+    # d >= 4: a candidate is minimal iff its projection enters the slab
+    # antichain at its own level
+    out = []
+    below = ()
+    for z, active in _slabs(cands):
+        kept = set(below)
+        out.extend(p + (z,) for p in active if p not in kept)
+        below = active
+    return tuple(sorted(out))
+
+
+def _slabs(pts) -> list:
+    """[(z, A_z)] for each distinct last coordinate z of pts in d >= 4,
+    ascending: A_z is the antichain of the projections of the points with
+    last coordinate <= z, the ideal of pts on the slab from z to the next."""
     out = []
     active = ()
-    for z, level in itertools.groupby(sorted(cands, key=_last), key=_last):
-        fresh = _outside(active, _antichain(p[:-1] for p in level))
-        if fresh:
-            out.extend(p + (z,) for p in fresh)
-            active = _antichain(active + tuple(fresh))
-    return tuple(sorted(out))
+    for z, level in itertools.groupby(sorted(pts, key=_last), key=_last):
+        active = _antichain(active + tuple(p[:-1] for p in level))
+        out.append((z, active))
+    return out
 
 
 def _staircase(pts: list) -> tuple:
@@ -205,10 +222,10 @@ def _outside(gens: tuple, pts) -> list:
     of gens, and the points come out in that order. In d = 3 one sweep takes
     the points in order of z and, before testing each, adds to the height
     profile the generators whose z is at most the point's, so the points come
-    out in level order of z. In d >= 4 the points are swept level by level in
-    the last coordinate: the generators up to the level join an active
-    antichain of projections, and the projections of the level's points are
-    tested against it one dimension down, ending in the d = 3 sweep."""
+    out in level order of z. In d >= 4 the points are taken level by level
+    in the last coordinate, and the projections of each level are tested one
+    dimension down against the slab antichain of gens (_slabs) at the highest
+    z at or below the level, ending in the d = 3 sweep."""
     if not pts:
         return []
     if len(pts[0]) == 1:
@@ -242,26 +259,24 @@ def _outside(gens: tuple, pts) -> list:
             if p[1] < h[rank[p[0]]]:
                 out.append(p)
         return out
-    gens = sorted(gens, key=_last)
+    slabs = _slabs(gens)
     out = []
     active = ()
     i = 0
     for z, level in itertools.groupby(sorted(pts, key=_last), key=_last):
-        j = i
-        while j < len(gens) and gens[j][-1] <= z:
-            j += 1
-        if j > i:
-            active = _antichain(active + tuple(g[:-1] for g in gens[i:j]))
-            i = j
+        while i < len(slabs) and slabs[i][0] <= z:
+            active = slabs[i][1]
+            i += 1
         out.extend(p + (z,) for p in _outside(active, [p[:-1] for p in level]))
     return out
 
 
-class MonomialIdeal(_Power):
+class MonomialIdeal(_Ideal):
     """Monomial ideal of a power-series ring, canonical antichain form.
     Its colength is computed once, on first use."""
 
     __slots__ = ("ring", "gens", "_colength")
+    _kind = "monomial"
 
     def __init__(self, ring, gens: Iterable, *, _canonical: bool = False):
         self.ring = ring
@@ -296,12 +311,6 @@ class MonomialIdeal(_Power):
         if self.is_zero:
             return "(0)"
         return "(" + ", ".join(self.ring.format_monomial(g) for g in self.gens) + ")"
-
-    def _check(self, other):
-        if not isinstance(other, MonomialIdeal):
-            raise TypeError(f"expected a monomial ideal, got {type(other).__name__}")
-        if other.ring is not self.ring and other.ring != self.ring:
-            raise RingMismatchError("monomial ideals from different rings")
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -555,32 +564,25 @@ def _colength_slice(gens: tuple):
     one sweep in (z, x, y) order lowers a height profile h over the distinct
     x values, and each slab adds its width times the area sum h[i] * (x_i+1 -
     x_i) under it; in d >= 4 the slabs recurse one dimension down, ending in
-    that sweep. The plane staircase walk is the d = 2 case, and in d = 1 the
-    colength is the one generator's exponent. The result is INFINITE when a
-    slab's profile misses an axis or the top slab has no power of the last
-    variable. gens canonical, nonempty."""
+    that sweep (_slabs). The plane staircase walk is the d = 2 case, and in
+    d = 1 the colength is the one generator's exponent. The result is
+    INFINITE when no slab starts at 0, a slab is not cofinite, or the top
+    one is not the unit ideal. gens canonical, nonempty."""
     if len(gens[0]) == 1:
         return gens[0][0]
     if len(gens[0]) == 2:
         return _colength_walk(gens)
     if len(gens[0]) == 3:
         return _colength_sweep(gens)
-    total = 0
-    active = ()
-    prev = 0
-    for z, level in itertools.groupby(sorted(gens, key=_last), key=_last):
-        if active:
-            sub = _colength_slice(active)
-            if sub is INFINITE:
-                return INFINITE
-            total += (z - prev) * sub
-        elif z:
-            return INFINITE
-        active = _antichain(active + tuple(g[:-1] for g in level))
-        prev = z
-    # the top slab is finite only under a pure power of the last variable
-    if any(active[0]):
+    slabs = _slabs(gens)
+    if slabs[0][0] or any(slabs[-1][1][0]):
         return INFINITE
+    total = 0
+    for (z, active), (top, _) in zip(slabs, slabs[1:]):
+        sub = _colength_slice(active)
+        if sub is INFINITE:
+            return INFINITE
+        total += (top - z) * sub
     return total
 
 
@@ -652,7 +654,7 @@ def _colength_scan(gens: tuple, box: list):
 # semigroup model
 
 
-class SemigroupIdeal(_Power):
+class SemigroupIdeal(_Ideal):
     """Ideal of a numerical-semigroup ring, stored by its missing members.
 
     Bit s of the int `missing` is set for each semigroup member s that is
@@ -663,6 +665,7 @@ class SemigroupIdeal(_Power):
     """
 
     __slots__ = ("ring", "missing", "_mingens", "_colength")
+    _kind = "semigroup"
 
     def __init__(self, ring, generators: Iterable, *, _missing: int | None = None):
         self.ring = ring
@@ -673,10 +676,14 @@ class SemigroupIdeal(_Power):
             if not gens:
                 self.missing = None
             else:
-                # gens[0] + S holds every integer from gens[0] + ring conductor on
-                members = ring.member_mask(gens[0] + ring.conductor)
+                # gens[0] + S holds every integer from gens[0] + ring conductor
+                # on, so a generator from there on adds nothing
+                bound = gens[0] + ring.conductor
+                members = ring.member_mask(bound)
                 elems = 0
                 for g in gens:
+                    if g >= bound:
+                        break
                     elems |= members << g
                 self.missing = members & ~elems
         self._mingens = None
@@ -738,12 +745,6 @@ class SemigroupIdeal(_Power):
             return "(0)"
         gens = self.minimal_generators()
         return "(" + ", ".join(self.ring.format_monomial(g) for g in gens) + ")"
-
-    def _check(self, other):
-        if not isinstance(other, SemigroupIdeal):
-            raise TypeError(f"expected a semigroup ideal, got {type(other).__name__}")
-        if other.ring is not self.ring and other.ring != self.ring:
-            raise RingMismatchError("semigroup ideals from different rings")
 
     # -- element masks (nonzero ideals only) ---------------------------------
 

@@ -468,7 +468,7 @@ class TestDimensionOneTable:
 
 
 class TestSharedTerms:
-    """An adic spec with K = I_1 shares K I_n = I_(n+1), K J I_n = J I_(n+1)."""
+    """An adic spec with K = I_1 reads K I_n as I_(n+1) and K J I_n as J I_(n+1)."""
 
     @pytest.mark.parametrize(
         "make",
@@ -481,12 +481,12 @@ class TestSharedTerms:
         k_first = make()
         kterms = [k_first.kterm(n) for n in range(4)]
         kjterms = [k_first.kjterm(n) for n in range(4)]
-        # each kterm(n) built only I_n, and no J I_(n+1) was asked for
-        assert max(k_first._terms) == 3 and not k_first._jterms
+        # each kterm(n) is term(n + 1), and the K-caches stay empty
+        assert max(k_first._terms) == 4
+        assert not k_first._kterms and not k_first._kjterms
         assert [k_first.term(n + 1) for n in range(4)] == kterms
         assert all(k_first.term(n + 1) is k for n, k in enumerate(kterms))
         assert all(k_first.jterm(n + 1) is k for n, k in enumerate(kjterms))
-        assert not k_first._jterms
 
         term_first = make()
         terms = [term_first.term(n + 1) for n in range(4)]

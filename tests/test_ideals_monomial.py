@@ -430,7 +430,7 @@ class TestColength:
         assert ring.ideal(ideal.gens).colength() == expected and len(calls) == 4
 
 
-SPACE_VARIABLES = ("x", "y", "z", "w")
+SPACE_VARIABLES = ("x", "y", "z", "w", "v")
 
 
 def random_space_ideal(rng, dim, cap=4, missing=None):
@@ -458,11 +458,11 @@ def brute_minimal(cands):
 
 
 class TestSliceKernels:
-    """The d = 3 sweep and the d = 4 slices that end in it: colength,
+    """The d = 3 sweep and the d >= 4 slab walks that end in it: colength,
     antichain and containment against the box-scan and divisibility
     oracles."""
 
-    @pytest.mark.parametrize("dim, cap", [(3, 5), (4, 3)])
+    @pytest.mark.parametrize("dim, cap", [(3, 5), (4, 3), (5, 2)])
     def test_colength_against_box_oracle(self, dim, cap):
         rng = random.Random(40 + dim)
         for _ in range(80):
@@ -476,7 +476,7 @@ class TestSliceKernels:
             with colength_cross_check():
                 assert ideal.colength() == expected, ideal.gens
 
-    @pytest.mark.parametrize("dim", [3, 4])
+    @pytest.mark.parametrize("dim", [3, 4, 5])
     def test_missing_pure_power_is_infinite(self, dim):
         rng = random.Random(50 + dim)
         for _ in range(60):
@@ -520,7 +520,7 @@ class TestSliceKernels:
         assert (unit * m) == m and (zero * m) == zero
         assert unit.intersect(m) == m and m.colon(m) == unit
 
-    @pytest.mark.parametrize("dim", [3, 4])
+    @pytest.mark.parametrize("dim", [3, 4, 5])
     def test_antichain_against_brute_force(self, dim):
         rng = random.Random(60 + dim)
         for _ in range(200):
@@ -541,7 +541,7 @@ class TestSliceKernels:
             assert (a + b).gens == brute_minimal(a.gens + b.gens)
             assert ring.ideal(a.gens + b.gens) == a + b
 
-    @pytest.mark.parametrize("dim", [3, 4])
+    @pytest.mark.parametrize("dim", [3, 4, 5])
     def test_contains_every_ordered_pair(self, dim):
         rng = random.Random(70 + dim)
         ring = PowerSeriesRing(*SPACE_VARIABLES[:dim])
@@ -557,7 +557,7 @@ class TestSliceKernels:
                 with colength_cross_check():
                     assert a.contains(b) == expected, (a, b)
 
-    @pytest.mark.parametrize("dim", [3, 4])
+    @pytest.mark.parametrize("dim", [3, 4, 5])
     def test_antichain_with_shared_coordinates(self, dim):
         # each coordinate takes one or two values per draw, so points share
         # an x or a z often, every point may sit on one level, and repeats
@@ -579,8 +579,21 @@ class TestSliceKernels:
         for cands in cases:
             cands = [p + tail for p in cands]
             assert fibrekit.ideals._antichain(cands) == brute_minimal(cands), cands
+        # the levels in the last coordinate: the projection (1, 1) of level
+        # 0 recurs on levels 1 and 3, where it enters no slab antichain
+        head = (1,) * (dim - 3)
+        cands = [(1, 1, 0), (2, 0, 1), (1, 1, 1), (0, 3, 2), (1, 1, 3), (0, 2, 3)]
+        cands = [head + p for p in cands]
+        kept = fibrekit.ideals._antichain(cands)
+        assert kept == brute_minimal(cands), cands
+        assert kept == tuple(sorted(head + p for p in [(1, 1, 0), (2, 0, 1), (0, 3, 2), (0, 2, 3)]))
+        if dim >= 4:
+            slabs = fibrekit.ideals._slabs(cands)
+            assert [z for z, _ in slabs] == [0, 1, 2, 3]
+            assert slabs[1][1] == slabs[0][1] + (head + (2, 0),)
+            assert slabs[3][1] == (head + (0, 2), head + (1, 1), head + (2, 0))
 
-    @pytest.mark.parametrize("dim", [3, 4])
+    @pytest.mark.parametrize("dim", [3, 4, 5])
     def test_outside_against_divisibility(self, dim):
         rng = random.Random(85 + dim)
         for _ in range(300):
@@ -591,7 +604,7 @@ class TestSliceKernels:
             pts += pts[: rng.randint(0, len(pts))]
             outside = [p for p in pts if not any(divides(g, p) for g in gens)]
             assert sorted(fibrekit.ideals._outside(gens, pts)) == sorted(outside), (gens, pts)
-        pts = [(0,) * dim, (1,) * dim, (3, 0, 2, 1)[:dim]]
+        pts = [(0,) * dim, (1,) * dim, (3, 0, 2, 1, 4)[:dim]]
         assert sorted(fibrekit.ideals._outside((), pts)) == sorted(pts)
         assert fibrekit.ideals._outside(((1,) * dim,), []) == []
 

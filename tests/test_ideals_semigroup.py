@@ -6,6 +6,7 @@ past which the ideal provably contains every integer.
 """
 
 import random
+import tracemalloc
 from math import gcd
 
 import pytest
@@ -16,6 +17,7 @@ from fibrekit import (
     FiltrationSpec,
     InputError,
     InternalInconsistencyError,
+    PowerSeriesRing,
     RingMismatchError,
     SemigroupIdeal,
     SemigroupRing,
@@ -90,6 +92,21 @@ class TestCanonicalization:
         assert u.is_unit
         assert u.colength() == 0
         assert u.contains_element(0)
+
+    def test_generators_past_the_conductor_are_skipped(self):
+        # 10 + S holds every integer from 10 + conductor on, so a generator
+        # there adds no element and is not shifted over
+        ring = SemigroupRing(*range(10, 20), 21)
+        tracemalloc.start()
+        try:
+            ideal = ring.ideal([10, 10**8 + 1])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert ideal == ring.ideal([10])
+        assert peak < 1 << 20
+        assert ring.ideal([10, 10 + ring.conductor]) == ring.ideal([10])
+        assert ring.ideal([10, 9 + ring.conductor]) != ring.ideal([10])
 
     def test_empty_generator_list_is_zero_ideal(self):
         ring = SemigroupRing(4, 5, 6, 7)
@@ -232,6 +249,19 @@ class TestRings:
         assert m + i == m and m.intersect(i) == i
         assert i.colon(m) == m
         assert i.is_reduction_of(m)
+
+    def test_ring_gate_names_each_model(self):
+        i = SemigroupRing(4, 5, 6, 7).ideal([4, 5, 6])
+        m = PowerSeriesRing("x", "y").maximal_ideal()
+        with pytest.raises(TypeError, match="expected a semigroup ideal, got MonomialIdeal"):
+            i * m
+        with pytest.raises(TypeError, match="expected a monomial ideal, got SemigroupIdeal"):
+            m.contains(i)
+        with pytest.raises(RingMismatchError, match="semigroup ideals from different rings"):
+            i + SemigroupRing(3, 5).maximal_ideal()
+        with pytest.raises(RingMismatchError, match="monomial ideals from different rings"):
+            m.intersect(PowerSeriesRing("x", "z").maximal_ideal())
+        assert i ** 2 == i * i and m ** 2 == m * m
 
     def test_different_rings_raise(self):
         i = SemigroupRing(4, 5, 6, 7).ideal([4, 5, 6])
