@@ -390,11 +390,10 @@ def g1_from_lengths_dim1(
     """Dimension-1 identity g_1 = sum_n len(K I_n / x K I_{n-1}) - len(R/K)
     for J = (x); the sum is certified to terminate and the result is
     cross-checked against the fitted g_1."""
-    if spec.dim != 1:
-        raise InternalInconsistencyError("this identity is a dimension-1 statement")
-    j = spec.require_j()
-    if len(j.minimal_generators()) != 1:
-        raise InternalInconsistencyError("dimension-1 reductions are principal")
+    if not spec.table_route:
+        raise InternalInconsistencyError(
+            "this identity needs dimension 1 and a principal reduction J = (x)"
+        )
     value = spec.length_sum("K upper", reduction_number) - table.hk[0]
     if value != coefficients.g1:
         raise TheoremViolationError(

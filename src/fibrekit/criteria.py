@@ -142,10 +142,6 @@ class AnalysisReport(NamedTuple):
         raise KeyError(name)
 
 
-def _k_is_maximal(spec: FiltrationSpec) -> bool:
-    return spec.K == spec.ring.maximal_ideal()
-
-
 def check_g1_lower_bound(
     spec: FiltrationSpec, coefficients: CoefficientReport, reduction: ReductionData
 ) -> CriterionResult:
@@ -300,7 +296,7 @@ def check_minimal_multiplicity(
         raise TheoremViolationError(
             "K I cap J = K J and g_1 = -len(R/K), yet K I differs from K J"
         )
-    if _k_is_maximal(spec) and flags.classic != flags.g1_classic:
+    if spec.k_is_maximal and flags.classic != flags.g1_classic:
         raise TheoremViolationError(
             f"minimal-multiplicity forms disagree for K = m: "
             f"mu(I) = {mu_i} vs e_0 + d - len(R/I) = "
@@ -329,7 +325,7 @@ def check_fiber_multiplicity_bound(
 
     The inequality is a theorem, so exceeding it is a bug signal.
     """
-    if not _k_is_maximal(spec):
+    if not spec.k_is_maximal:
         raise InputError("the fiber multiplicity bound is a K = m statement")
     mu_i = len(spec.I.minimal_generators())
     rhs = (
@@ -582,7 +578,7 @@ def analyze(spec: FiltrationSpec, *, n_max: int | None = None) -> AnalysisReport
         )
 
     equivalences = None
-    if _k_is_maximal(spec):
+    if spec.k_is_maximal:
         criteria.append(
             check_fiber_multiplicity_bound(spec, coefficients, table)
         )

@@ -15,8 +15,9 @@ J) and validates the defining hypotheses up front:
 Terms, K-terms, J-terms and K J-terms are cached on the spec. Each is
 built as I_n times I_1, K, J or K J: a product iterates over the generators
 of its right factor, so the factor with few generators goes on the right.
-In an adic spec with K = I_1, K I_n is I_(n+1) and K J I_n is J I_(n+1),
-so kterm and kjterm delegate to term and jterm and their own caches stay
+When K = I_1^s with s in {0, 1} (K = R in any mode, since R I_n = I_n, or
+K = I_1 in an adic spec), K I_n is I_(n+s) and K J I_n is J I_(n+s), so
+kterm and kjterm delegate to term and jterm and their own caches stay
 empty; under ideals.CROSS_CHECK they also build I_n K and I_n (K J) and
 compare.
 build_table evaluates H(n) = len(R/I_n), H_K(n) = len(R/K I_n) and
@@ -41,8 +42,8 @@ building their ideals when it is 0: then I_n = J I_{n-1}, and each of the
 four quotients is zero for every n, K and filtration (proof in length_sum).
 Under ideals.CROSS_CHECK each implied 0 is also computed directly.
 
-In dimension 1 with a principal J = (f), "G depth" and "K upper" are read
-off colengths the table already holds:
+In dimension 1 with a principal J = (f) (table_route), "G depth" and "K
+upper" are read off colengths the table already holds:
 
   "G depth"(n) = len(R/J) + H(n-1) - H(n),
   "K upper"(n) = len(R/J) + H_K(n-1) - H_K(n).
@@ -122,9 +123,13 @@ class FiltrationSpec:
         self.K = ring.maximal_ideal() if K is None else K
         self.J = J
         self.n_max = n_max
+        # every attribute is set here: on CPython 3.11 one added later
+        # turns the instance's inline attributes into a slower dict
         self._terms = {0: ring.unit_ideal(), 1: I}
-        # adic K = I_1: K I_n = I_(n+1) and K J I_n = J I_(n+1)
-        self._k_is_i = truncated_terms is None and self.K == I
+        # s with K = I_1^s, so K I_n = I_(n+s) and K J I_n = J I_(n+s)
+        self._k_shift = (
+            0 if self.K.is_unit else 1 if truncated_terms is None and self.K == I else None
+        )
         self._kterms: dict = {}
         self._jterms: dict = {}
         self._kjterms: dict = {}
@@ -186,6 +191,17 @@ class FiltrationSpec:
     def dim(self) -> int:
         return self.ring.dim
 
+    @property
+    def k_is_maximal(self) -> bool:
+        """K = m, the setting of the minimal-multiplicity statements."""
+        return self.K == self.ring.maximal_ideal()
+
+    @property
+    def table_route(self) -> bool:
+        """d = 1 with a principal J = (f): "G depth" and "K upper" come off
+        the Hilbert table (see the module docstring)."""
+        return self.ring.dim == 1 and self.J is not None and len(self.J.minimal_generators()) == 1
+
     def term(self, n: int):
         """I_n (I_0 = R), built as I_n = I_{n-1} I_1 past the explicit terms."""
         terms = self._terms
@@ -199,18 +215,18 @@ class FiltrationSpec:
         return terms[n]
 
     def _delegated(self, got, n, right):
-        """got, the term that stands for I_n * right when K = I_1; under
+        """got, the term that stands for I_n * right when K = I_1^s; under
         ideals.CROSS_CHECK the product is also built and compared."""
         if ideals.CROSS_CHECK and got != self.term(n) * right:
             raise InternalInconsistencyError(
-                f"I_{n} * {right} differs from the next term although K = I_1"
+                f"I_{n} * {right} differs from its term although K = I_1^{self._k_shift}"
             )
         return got
 
     def kterm(self, n: int):
-        """K * I_n; I_(n+1) when K = I_1 (a negative n raises in term)."""
-        if self._k_is_i and n >= 0:
-            return self._delegated(self.term(n + 1), n, self.K)
+        """K * I_n; I_(n+s) when K = I_1^s (a negative n raises in term)."""
+        if self._k_shift is not None and n >= 0:
+            return self._delegated(self.term(n + self._k_shift), n, self.K)
         got = self._kterms.get(n)
         if got is None:
             got = self._kterms[n] = self.term(n) * self.K
@@ -242,11 +258,11 @@ class FiltrationSpec:
         return got
 
     def kjterm(self, n: int):
-        """K * J * I_n; J I_(n+1) when K = I_1."""
+        """K * J * I_n; J I_(n+s) when K = I_1^s."""
         if self._kj is None:
             self._kj = self.K * self.require_j()
-        if self._k_is_i and n >= 0:
-            return self._delegated(self.jterm(n + 1), n, self._kj)
+        if self._k_shift is not None and n >= 0:
+            return self._delegated(self.jterm(n + self._k_shift), n, self._kj)
         got = self._kjterms.get(n)
         if got is None:
             got = self._kjterms[n] = self.term(n) * self._kj
@@ -263,11 +279,7 @@ class FiltrationSpec:
                     raise InternalInconsistencyError(
                         f"{name!r} at n = {n} is nonzero although I_n = J I_(n-1)"
                     )
-            elif (
-                name in _TABLE
-                and self.dim == 1
-                and len(self.require_j().minimal_generators()) == 1
-            ):
+            elif name in _TABLE and self.table_route:
                 got = self._table_length(name, n)
             else:
                 got = quotient_length(*_LEDGER[name](self, n))

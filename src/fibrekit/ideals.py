@@ -353,19 +353,7 @@ class MonomialIdeal(_Ideal):
             return MonomialIdeal(
                 self.ring, _intersect_plane(self.gens, other.gens), _canonical=True
             )
-        if self.ring.dim == 3:
-            # unpacked conditional maxima, as the d = 3 product's sums
-            cands = [
-                (
-                    a0 if a0 > b0 else b0,
-                    a1 if a1 > b1 else b1,
-                    a2 if a2 > b2 else b2,
-                )
-                for b0, b1, b2 in other.gens
-                for a0, a1, a2 in self.gens
-            ]
-        else:
-            cands = [tuple(map(max, a, b)) for a in self.gens for b in other.gens]
+        cands = [tuple(map(max, a, b)) for a in self.gens for b in other.gens]
         return MonomialIdeal(self.ring, _antichain(cands), _canonical=True)
 
     def colon(self, other):

@@ -18,6 +18,7 @@ Errors carry 1-based line and column positions.
 
 from __future__ import annotations
 
+import re
 from typing import NamedTuple
 
 from .errors import InputError, ParseError
@@ -46,33 +47,24 @@ class InputDocument(NamedTuple):
         return FiltrationSpec(i, K=k, J=j, n_max=self.n_max)
 
 
+# a bracketed group up to the first ']' (or the line's end), or a word
+# running to the next whitespace, comma or '['
+_TOKEN = re.compile(r"\[[^\]]*\]?|[^\s,\[]+")
+
+
 def _split_tokens(body: str, line_no: int, offset: int) -> list:
     """Tokens with their 1-based column positions.
 
     Bracketed groups [ ... ] are single tokens; everything else splits on
-    whitespace and commas between groups.
+    whitespace and commas between groups, and '[' also starts a token.
     """
     tokens = []
-    i = 0
-    n = len(body)
-    while i < n:
-        ch = body[i]
-        if ch.isspace() or ch == ",":
-            i += 1
-            continue
-        col = offset + i + 1
-        if ch == "[":
-            close = body.find("]", i)
-            if close < 0:
-                raise ParseError("unclosed '['", line=line_no, column=col)
-            tokens.append((body[i : close + 1], col))
-            i = close + 1
-        else:
-            j = i
-            while j < n and not body[j].isspace() and body[j] not in ",[":
-                j += 1
-            tokens.append((body[i:j], col))
-            i = j
+    for m in _TOKEN.finditer(body):
+        text = m.group()
+        col = offset + m.start() + 1
+        if text[0] == "[" and text[-1] != "]":
+            raise ParseError("unclosed '['", line=line_no, column=col)
+        tokens.append((text, col))
     return tokens
 
 

@@ -29,11 +29,7 @@ def spec_as_dict(spec: FiltrationSpec) -> dict:
     out = {
         "ring": describe_ring(spec.ring),
         "I": _ideal_generators(spec.I),
-        "K": (
-            "maximal"
-            if spec.K == spec.ring.maximal_ideal()
-            else _ideal_generators(spec.K)
-        ),
+        "K": "maximal" if spec.k_is_maximal else _ideal_generators(spec.K),
         "mode": spec.mode,
     }
     out["J"] = _ideal_generators(spec.J) if spec.J is not None else None
@@ -188,7 +184,7 @@ def render_text(report: AnalysisReport) -> str:
     add(f"I               {spec.I}")
     add(f"J               {spec.J if spec.J is not None else '(none)'}")
     k_label = str(spec.K)
-    if spec.K == spec.ring.maximal_ideal():
+    if spec.k_is_maximal:
         k_label += "  [maximal]"
     add(f"K               {k_label}")
     add(f"mode            {spec.mode}")

@@ -467,8 +467,26 @@ class TestDimensionOneTable:
             make_sg_spec().length("G depth", 1)
 
 
+def _truncated(spec):
+    """spec in truncated mode, with I_2 = I_1^2 given explicitly."""
+    i = spec.I
+    return FiltrationSpec(i, K=spec.K, J=spec.J, truncated_terms=(i, i * i))
+
+
+# K = R in both modes and both ring models: K I_n = I_n, K J I_n = J I_n
+UNIT_K_SPECS = {
+    "plane-adic": lambda: make_x3_spec(k=plane().unit_ideal()),
+    "plane-truncated": lambda: _truncated(make_x3_spec(k=plane().unit_ideal())),
+    "semigroup-adic": lambda: make_sg_spec(k=SemigroupRing(4, 5, 6, 7).unit_ideal()),
+    "semigroup-truncated": lambda: _truncated(
+        make_sg_spec(k=SemigroupRing(4, 5, 6, 7).unit_ideal())
+    ),
+}
+
+
 class TestSharedTerms:
-    """An adic spec with K = I_1 reads K I_n as I_(n+1) and K J I_n as J I_(n+1)."""
+    """An adic spec with K = I_1 reads K I_n as I_(n+1) and K J I_n as J I_(n+1);
+    a spec with K = R reads them as I_n and J I_n."""
 
     @pytest.mark.parametrize(
         "make",
@@ -511,6 +529,44 @@ class TestSharedTerms:
         with colength_cross_check():
             with pytest.raises(InternalInconsistencyError):
                 spec.kterm(2)
+
+    def test_cross_check_catches_a_wrong_unit_k_term(self):
+        spec = make_sg_spec(k=SemigroupRing(4, 5, 6, 7).unit_ideal())
+        spec.jterm(3)
+        spec._jterms[2] = spec.jterm(3)
+        with colength_cross_check():
+            with pytest.raises(InternalInconsistencyError):
+                spec.kjterm(2)
+        # a K = m spec that wrongly reads K I_n as I_n
+        spec = make_x3_spec()
+        spec._k_shift = 0
+        with colength_cross_check():
+            with pytest.raises(InternalInconsistencyError):
+                spec.kterm(2)
+
+    @pytest.mark.parametrize("make", UNIT_K_SPECS.values(), ids=UNIT_K_SPECS.keys())
+    def test_unit_k_reads_the_terms_themselves(self, make):
+        spec = make()
+        analyze(spec)
+        assert not spec._kterms and not spec._kjterms
+        for n in range(5):
+            assert spec.kterm(n) is spec.term(n)
+            assert spec.kjterm(n) is spec.jterm(n)
+        assert not spec._kterms and not spec._kjterms
+        with colength_cross_check():
+            checked = make()
+            for n in range(5):
+                assert checked.kterm(n) is checked.term(n)
+                assert checked.kjterm(n) is checked.jterm(n)
+
+    @pytest.mark.parametrize(
+        "make", [make_x3_spec, make_sg_spec, lambda: semigroup_m_spec(5, 7)]
+    )
+    def test_analysis_adds_no_attribute_to_the_spec(self, make):
+        spec = make()
+        names = list(vars(spec))
+        render_tree(analyze(spec))
+        assert list(vars(spec)) == names
 
     def test_truncated_or_unequal_k_shares_nothing(self):
         ring = plane()

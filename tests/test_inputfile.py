@@ -109,6 +109,35 @@ class TestPositions:
         e = err("ring powerseries x y\nI [3,0\n")
         assert (e.line, e.column) == (2, 3)
         assert "unclosed" in e.bare_message
+        # a '[' left open after a comma
+        e = err("ring powerseries x y\nI [2,0],[0,2\n")
+        assert (e.line, e.column) == (2, 9)
+        assert e.bare_message == "unclosed '['"
+        e = err("ring powerseries x y\nI [2,0], [\n")
+        assert (e.line, e.column) == (2, 10)
+
+    def test_adjacent_groups_are_two_generators(self):
+        assert parse_input("ring powerseries x y\nI [3,0][0,3]\n").i_gens == [(3, 0), (0, 3)]
+        # each group keeps its own column
+        e = err("ring powerseries x y\nI [3,0][0,a]\n")
+        assert (e.line, e.column) == (2, 8)
+        e = err("ring powerseries x y\nI [3,0][1,2,3]\n")
+        assert (e.line, e.column) == (2, 8)
+        assert "3 entries" in e.bare_message
+
+    def test_stray_closing_bracket_is_a_token(self):
+        e = err("ring powerseries x y\nI [2,0] ]\n")
+        assert (e.line, e.column) == (2, 9)
+        assert e.bare_message == "expected a bracketed exponent vector, got ']'"
+        e = err("ring semigroup 4 5 6 7\nI 4]\n")
+        assert (e.line, e.column) == (2, 3)
+        assert e.bare_message == "expected an integer, got '4]'"
+
+    def test_tab_separators(self):
+        doc = parse_input("ring\tpowerseries\tx\ty\nI\t[2,0]\t[0\t2]\n")
+        assert doc.i_gens == [(2, 0), (0, 2)]
+        e = err("ring\tpowerseries x y\nI\t[2,0]\t3\n")
+        assert (e.line, e.column) == (2, 9)
 
     def test_duplicate_directive(self):
         e = err("ring powerseries x y\nI [2,0]\nI [0,2]\n")

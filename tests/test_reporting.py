@@ -176,6 +176,27 @@ class TestSpecAsDict:
         assert d["J"] is None
         assert "terms" not in d
 
+    @pytest.mark.parametrize(
+        "head, k_lines",
+        [
+            (
+                "ring powerseries x y\nI [3,0] [2,1] [0,3]\nJ [3,0] [0,3]\n",
+                ("K [1,0] [0,1]", "K [0,1] [1,0]"),
+            ),
+            ("ring semigroup 4 5 6 7\nI 4 5 6\nJ 4\n", ("K 4 5 6 7",)),
+        ],
+        ids=["plane", "semigroup"],
+    )
+    def test_k_listed_as_m_renders_as_maximal(self, head, k_lines):
+        def renders(k_line):
+            report = analyze(load_spec(head + k_line + "\n")[1])
+            return render_tree(report), render_text(report)
+
+        maximal = renders("K maximal")
+        assert '"K": "maximal"' in maximal[0] and "[maximal]" in maximal[1]
+        for k_line in k_lines:
+            assert renders(k_line) == maximal
+
 
 class TestRenderText:
     def test_x3_lines(self, x3_report):
