@@ -74,15 +74,25 @@ def _cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-def _cmd_coeffs(args) -> int:
+def _fit(args):
+    """fit_tables on args.file: the spec, table and coefficients, and the
+    label of a fit no certificate covers ("" for a certified one)."""
     _, spec, n_max = _load(args)
     table, coefficients = fit_tables(spec, n_max)
+    certified = coefficients.certified_from is not None
+    label = "" if certified else f"window-validated through n = {table.n_max}, not certified"
+    return spec, table, coefficients, label
+
+
+def _cmd_coeffs(args) -> int:
+    _, table, coefficients, label = _fit(args)
+    claim = "agrees" if label else "exact"
+    scope = label or f"table through n = {table.n_max}"
     out = []
     for cs in (coefficients.e, coefficients.g, coefficients.f):
         tup = "(" + ", ".join(str(x) for x in cs.coefficients) + ")"
         out.append(
-            f"{cs.label.lower()} = {tup}  exact from n = {cs.postulation}"
-            f"  (table through n = {table.n_max})"
+            f"{cs.label.lower()} = {tup}  {claim} from n = {cs.postulation}  ({scope})"
         )
     _emit(out)
     return EXIT_OK
@@ -102,10 +112,9 @@ def _cmd_lemma(args) -> int:
 
 
 def _cmd_series(args) -> int:
-    _, spec, n_max = _load(args)
-    table, coefficients = fit_tables(spec, n_max)
+    spec, table, coefficients, label = _fit(args)
     series = fiber_hilbert_series(table, spec.dim, coefficients.f)
-    out = [f"fiber series: {series}"]
+    out = [f"fiber series: {series}" + (f"  ({label})" if label else "")]
     if series.has_negative:
         out.append("NEGATIVE COEFFICIENT: fiber cone is not Cohen-Macaulay")
     _emit(out)

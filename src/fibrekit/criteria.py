@@ -6,16 +6,20 @@ statement is an unconditional theorem raise TheoremViolationError on
 failure (exit code 2: a bug signal, not a computed answer); checks that
 decide a property of the input return PASS or FAIL as data.
 
-Gating: the fiber-cone Cohen-Macaulay and depth tests are two-sided only
-when the associated graded ring has certified depth >= dim - 1. Without
-that certificate the equality of the two lengths is still reported, but no
-verdict is issued (PRECONDITION_NOT_ESTABLISHED): the equality can hold
-for a non-Cohen-Macaulay fiber cone when the depth hypothesis fails.
+The paper's four g_1 statements are one comparison, g_1 against a certified
+ledger sum minus len(R/K), made row by row in check_g1_criteria: a lower
+bound (a theorem), an upper bound, and two equalities that decide whether
+the fiber cone is Cohen-Macaulay and whether its depth is >= dim - 1. The
+one gate: those equalities carry a verdict only when the associated graded
+ring has certified depth >= dim - 1; otherwise each is reported without one
+(PRECONDITION_NOT_ESTABLISHED), as it can hold for a non-Cohen-Macaulay
+fiber cone when the depth hypothesis fails.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from contextlib import suppress
 from enum import Enum
 from typing import NamedTuple
@@ -142,124 +146,55 @@ class AnalysisReport(NamedTuple):
         raise KeyError(name)
 
 
-def check_g1_lower_bound(
-    spec: FiltrationSpec, coefficients: CoefficientReport, reduction: ReductionData
-) -> CriterionResult:
-    """g_1 >= sum_n len((K I_n + J)/J) - len(R/K); a violation is a bug."""
-    s_low = spec.g1_sum("K lower", reduction.r)
+# The paper's four g_1 statements. Each compares g_1 with one certified sum
+# over n >= 1 of a ledger entry, minus len(R/K):
+#   lower bound    g_1 >= sum_n len((K I_n + J) / J) - len(R/K), a theorem;
+#   upper bound    g_1 <= sum_n len(K I_n / K J I_{n-1}) - len(R/K);
+#   fiber CM       g_1 = sum_n len((K I_n + J I_{n-1}) / J I_{n-1}) - len(R/K)
+#                  iff F is Cohen-Macaulay, gated on depth G >= dim - 1;
+#   fiber depth    g_1 = sum_n len(K I_n / J K I_{n-1}) - len(R/K)
+#                  iff depth F >= dim - 1, under the same gate.
+# A row is (name, ledger entry, relation of g_1 to the sum, gated, PASS note,
+# FAIL note); a row without a FAIL note is a theorem.
+_G1_CRITERIA = (
+    ("g1-lower-bound", "K lower", operator.ge, False,
+     "g_1 >= lower length sum", None),
+    ("g1-upper-bound", "K upper", operator.le, False,
+     "g_1 <= upper length sum", "upper length sum exceeded"),
+    ("fiber-cohen-macaulay", "K cm", operator.eq, True,
+     "fiber cone is Cohen-Macaulay", "fiber cone is not Cohen-Macaulay"),
+    ("fiber-depth", "K upper", operator.eq, True,
+     "fiber depth >= dim - 1", "fiber depth < dim - 1"),
+)
+
+
+def check_g1_criteria(
+    spec: FiltrationSpec, coefficients: CoefficientReport,
+    reduction: ReductionData, graded_depth: GradedDepth,
+) -> tuple:
+    """The four g_1 criteria of _G1_CRITERIA, as CriterionResults in report
+    order. A gated row whose graded ring has depth below dim - 1 reports
+    its equality without a verdict; a theorem row that fails raises."""
     g1 = coefficients.g1
-    if g1 < s_low:
-        raise TheoremViolationError(
-            f"g_1 = {g1} undercuts its certified lower bound {s_low}"
-        )
-    return CriterionResult(
-        name="g1-lower-bound",
-        status=CriterionStatus.PASS,
-        lhs=g1,
-        rhs=s_low,
-        note="g_1 >= lower length sum",
-        bound=reduction.checked_through + 1,
-    )
-
-
-def check_g1_upper_bound(
-    spec: FiltrationSpec, coefficients: CoefficientReport, reduction: ReductionData
-) -> CriterionResult:
-    """g_1 <= sum_n len(K I_n / K J I_{n-1}) - len(R/K), reported as data."""
-    s_up = spec.g1_sum("K upper", reduction.r)
-    g1 = coefficients.g1
-    ok = g1 <= s_up
-    return CriterionResult(
-        name="g1-upper-bound",
-        status=CriterionStatus.PASS if ok else CriterionStatus.FAIL,
-        lhs=g1,
-        rhs=s_up,
-        note="g_1 <= upper length sum" if ok else "upper length sum exceeded",
-        bound=reduction.checked_through + 1,
-    )
-
-
-def _gated_equality(
-    name: str,
-    entry: str,
-    notes: tuple,
-    spec: FiltrationSpec,
-    coefficients: CoefficientReport,
-    reduction: ReductionData,
-    graded_depth: GradedDepth,
-) -> CriterionResult:
-    """g_1 = sum_n `entry` - len(R/K), with notes = (PASS note, FAIL note).
-
-    The verdict is issued only when the graded ring has certified depth
-    >= dim - 1; otherwise the equality is reported without one.
-    """
-    g1 = coefficients.g1
-    rhs = spec.g1_sum(entry, reduction.r)
-    equal = g1 == rhs
-    if graded_depth.classification is DepthClass.LOW:
-        status = CriterionStatus.PRECONDITION_NOT_ESTABLISHED
-        note = (
-            "graded depth below dim - 1: equality "
-            f"{'holds' if equal else 'fails'} but carries no verdict"
-        )
-    elif equal:
-        status, note = CriterionStatus.PASS, notes[0]
-    else:
-        status, note = CriterionStatus.FAIL, notes[1]
-    return CriterionResult(
-        name=name,
-        status=status,
-        lhs=g1,
-        rhs=rhs,
-        note=note,
-        bound=reduction.checked_through + 1,
-    )
-
-
-def check_fiber_cm(
-    spec: FiltrationSpec,
-    coefficients: CoefficientReport,
-    reduction: ReductionData,
-    graded_depth: GradedDepth,
-) -> CriterionResult:
-    """Fiber cone Cohen-Macaulay test:
-
-        g_1 = sum_n len((K I_n + J I_{n-1}) / J I_{n-1}) - len(R/K),
-
-    decisive exactly when the graded ring has certified depth >= dim - 1.
-    """
-    return _gated_equality(
-        "fiber-cohen-macaulay",
-        "K cm",
-        ("fiber cone is Cohen-Macaulay", "fiber cone is not Cohen-Macaulay"),
-        spec,
-        coefficients,
-        reduction,
-        graded_depth,
-    )
-
-
-def check_fiber_depth(
-    spec: FiltrationSpec,
-    coefficients: CoefficientReport,
-    reduction: ReductionData,
-    graded_depth: GradedDepth,
-) -> CriterionResult:
-    """Fiber cone depth >= dim - 1 test:
-
-        g_1 = sum_n len(K I_n / J K I_{n-1}) - len(R/K),
-
-    under the same graded-depth gate as the Cohen-Macaulay test.
-    """
-    return _gated_equality(
-        "fiber-depth",
-        "K upper",
-        ("fiber depth >= dim - 1", "fiber depth < dim - 1"),
-        spec,
-        coefficients,
-        reduction,
-        graded_depth,
-    )
+    bound = reduction.checked_through + 1
+    results = []
+    for name, entry, relation, gated, pass_note, fail_note in _G1_CRITERIA:
+        rhs = spec.g1_sum(entry, reduction.r)
+        holds = relation(g1, rhs)
+        if gated and graded_depth.classification is DepthClass.LOW:
+            status = CriterionStatus.PRECONDITION_NOT_ESTABLISHED
+            word = "holds" if holds else "fails"
+            note = f"graded depth below dim - 1: equality {word} but carries no verdict"
+        elif holds:
+            status, note = CriterionStatus.PASS, pass_note
+        elif fail_note is None:  # g1-lower-bound, the one theorem row
+            raise TheoremViolationError(
+                f"g_1 = {g1} undercuts its certified lower bound {rhs}"
+            )
+        else:
+            status, note = CriterionStatus.FAIL, fail_note
+        results.append(CriterionResult(name, status, g1, rhs, note, bound))
+    return tuple(results)
 
 
 def check_minimal_multiplicity(
@@ -273,10 +208,11 @@ def check_minimal_multiplicity(
     Returns (CriterionResult, MinimalMultiplicityFlags). The implications
     asserted (violations are bugs, never data):
       relative => g1_relative;
-      classic <=> g1_classic when K is the maximal ideal;
-      K I_1 cap J = K J together with g1_relative => relative.
+      K I_1 cap J = K J together with g1_relative => relative;
+      classic <=> g1_classic when K is the maximal ideal.
+    The first two only in an adic spec: K I_1 = K J gives K I_(n+1) =
+    K J I_n for the powers of I_1, not for explicit truncated terms.
     """
-    j = spec.require_j()
     ki = spec.kterm(1)
     kj = spec.kjterm(0)
     lrk = spec.length("K colength", 0)
@@ -288,14 +224,15 @@ def check_minimal_multiplicity(
         classic=(mu_i == coefficients.e0 + spec.dim - table.h[1]),
         g1_classic=(g1 == -1),
     )
-    if flags.relative and not flags.g1_relative:
-        raise TheoremViolationError(
-            f"K I = K J but g_1 = {g1} differs from -len(R/K) = {-lrk}"
-        )
-    if ki.intersect(j) == kj and flags.g1_relative and not flags.relative:
-        raise TheoremViolationError(
-            "K I cap J = K J and g_1 = -len(R/K), yet K I differs from K J"
-        )
+    if spec.mode == "adic":
+        if flags.relative and not flags.g1_relative:
+            raise TheoremViolationError(
+                f"K I = K J but g_1 = {g1} differs from -len(R/K) = {-lrk}"
+            )
+        if flags.g1_relative and not flags.relative and ki.intersect(spec.J) == kj:
+            raise TheoremViolationError(
+                "K I cap J = K J and g_1 = -len(R/K), yet K I differs from K J"
+            )
     if spec.k_is_maximal and flags.classic != flags.g1_classic:
         raise TheoremViolationError(
             f"minimal-multiplicity forms disagree for K = m: "
@@ -448,12 +385,13 @@ def class_threshold(gens: tuple, box: list) -> int:
     return max(map(spread, itertools.product(*axes))) - (d - 1)
 
 
-def tail_start(spec: FiltrationSpec, j, r: int) -> int:
+def tail_start(spec: FiltrationSpec, r: int) -> int:
     """N from which H and H_K are polynomial, for a certified minimal
-    reduction j of the filtration with reduction number r (see fit_tables)."""
+    reduction of the filtration with reduction number r; that reduction is
+    the pure powers of I_1 (see fit_tables)."""
     if spec.dim == 1:
         return r
-    box = j.pure_powers()
+    box = spec.I.pure_powers()
     k0 = max(
         class_threshold(spec.term(r).gens, box),
         class_threshold(spec.kterm(r).gens, box),
@@ -509,10 +447,15 @@ def fit_tables(
     Otherwise the fit is window-validated on a table through r + 2d + 5
     (r of J when J is certified a reduction, else 0), and its
     `certified_from` is None.
+
+    Either way the reduction is I_1's pure powers, so N reads them: a
+    certified minimal monomial J is m-primary with d generators, (x_i^c_i);
+    J <= I_1 gives c_i >= b_i for I_1's pure powers x_i^b_i, and I_1 inside
+    J's integral closure gives b_i / c_i >= 1 (Newton polyhedron), so c = b.
+    In a semigroup ring a J = (t^c) reduces I_1 iff c is its least valuation.
     """
     dim = spec.dim
-    j = spec.J
-    if reduction is None and j is not None:
+    if reduction is None and spec.J is not None:
         with suppress(NotAReductionError):
             reduction = reduction_number(spec)
     if reduction is None or not reduction.is_minimal:
@@ -522,8 +465,8 @@ def fit_tables(
                 n_max = (0 if reduction is None else reduction.r) + 2 * dim + 5
             table = build_table(spec, n_max)
             return table, coefficient_report(table, dim)
-        j, reduction = pure, reduction_number(spec, pure)
-    start = tail_start(spec, j, reduction.r)
+        reduction = reduction_number(spec, pure)
+    start = tail_start(spec, reduction.r)
     table = build_table(spec, start + dim if n_max is None else n_max)
     return table, coefficient_report(table, dim, certified_from=start)
 
@@ -552,16 +495,10 @@ def analyze(spec: FiltrationSpec, *, n_max: int | None = None) -> AnalysisReport
     series = fiber_hilbert_series(table, spec.dim, coefficients.f)
     graded_depth = classify_graded_depth(spec, coefficients.e1, reduction.r)
 
-    criteria = []
-    criteria.append(check_g1_lower_bound(spec, coefficients, reduction))
-    criteria.append(check_g1_upper_bound(spec, coefficients, reduction))
-    fiber_cm = check_fiber_cm(spec, coefficients, reduction, graded_depth)
-    criteria.append(fiber_cm)
-    criteria.append(check_fiber_depth(spec, coefficients, reduction, graded_depth))
-    mm_result, mm_flags = check_minimal_multiplicity(
-        spec, coefficients, table, reduction
-    )
-    criteria.append(mm_result)
+    g1_criteria = check_g1_criteria(spec, coefficients, reduction, graded_depth)
+    _, _, fiber_cm, _ = g1_criteria
+    mm_result, mm_flags = check_minimal_multiplicity(spec, coefficients, table, reduction)
+    criteria = [*g1_criteria, mm_result]
 
     g1_onedim_value = None
     if spec.dim == 1:
@@ -579,9 +516,7 @@ def analyze(spec: FiltrationSpec, *, n_max: int | None = None) -> AnalysisReport
 
     equivalences = None
     if spec.k_is_maximal:
-        criteria.append(
-            check_fiber_multiplicity_bound(spec, coefficients, table)
-        )
+        criteria.append(check_fiber_multiplicity_bound(spec, coefficients, table))
         if mm_flags.classic and spec.mode == "adic":
             eq_result, equivalences = check_minimal_multiplicity_equivalences(
                 spec, reduction, graded_depth, fiber_cm

@@ -18,8 +18,8 @@ of its right factor, so the factor with few generators goes on the right.
 When K = I_1^s with s in {0, 1} (K = R in any mode, since R I_n = I_n, or
 K = I_1 in an adic spec), K I_n is I_(n+s) and K J I_n is J I_(n+s), so
 kterm and kjterm delegate to term and jterm and their own caches stay
-empty; under ideals.CROSS_CHECK they also build I_n K and I_n (K J) and
-compare.
+empty, and K J is never built; under ideals.CROSS_CHECK they also build
+I_n K and I_n K J and compare.
 build_table evaluates H(n) = len(R/I_n), H_K(n) = len(R/K I_n) and
 H_F(n) = len(I_n/K I_n) = H_K(n) - H(n), after checking K I_n <= I_n.
 
@@ -64,6 +64,7 @@ len(R/K) is the table's own H_K(0) and is not computed again.
 from __future__ import annotations
 
 import logging
+import math
 from typing import NamedTuple
 
 from . import ideals
@@ -214,12 +215,13 @@ class FiltrationSpec:
             terms[i] = terms[i - 1] * self.I
         return terms[n]
 
-    def _delegated(self, got, n, right):
-        """got, the term that stands for I_n * right when K = I_1^s; under
-        ideals.CROSS_CHECK the product is also built and compared."""
-        if ideals.CROSS_CHECK and got != self.term(n) * right:
+    def _delegated(self, got, n, *factors):
+        """got, the term that stands for I_n times the factors when K = I_1^s;
+        under ideals.CROSS_CHECK the product is also built and compared."""
+        if ideals.CROSS_CHECK and got != math.prod(factors, start=self.term(n)):
             raise InternalInconsistencyError(
-                f"I_{n} * {right} differs from its term although K = I_1^{self._k_shift}"
+                f"I_{n} * {' * '.join(map(str, factors))} differs from its term "
+                f"although K = I_1^{self._k_shift}"
             )
         return got
 
@@ -258,13 +260,13 @@ class FiltrationSpec:
         return got
 
     def kjterm(self, n: int):
-        """K * J * I_n; J I_(n+s) when K = I_1^s."""
-        if self._kj is None:
-            self._kj = self.K * self.require_j()
+        """K * J * I_n; J I_(n+s), without building K J, when K = I_1^s."""
         if self._k_shift is not None and n >= 0:
-            return self._delegated(self.jterm(n + self._k_shift), n, self._kj)
+            return self._delegated(self.jterm(n + self._k_shift), n, self.K, self.J)
         got = self._kjterms.get(n)
         if got is None:
+            if self._kj is None:
+                self._kj = self.K * self.require_j()
             got = self._kjterms[n] = self.term(n) * self._kj
         return got
 

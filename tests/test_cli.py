@@ -220,6 +220,23 @@ class TestSmallCommands:
         assert (code, out) == (1, "")
         assert "certified from n = 22" in err and "raise n_max" in err
 
+    def test_uncertified_fits_are_labelled(self, tmp_path, capsys):
+        # (x^4, y^4) does not reduce (x^4, xy, y^4), so no certificate covers
+        # the fit: nothing is called exact
+        path = tmp_path / "open.fk"
+        path.write_text("ring powerseries x y\nI [4,0] [1,1] [0,4]\n")
+        label = "(window-validated through n = 9, not certified)"
+        code, out, err = run(capsys, "coeffs", str(path))
+        assert (code, err) == (0, "")
+        assert out.splitlines() == [
+            f"e = (8, 1, 0)  agrees from n = 0  {label}",
+            f"g = (8, -1, 1)  agrees from n = 0  {label}",
+            f"f = (2, -1)  agrees from n = 0  {label}",
+        ]
+        code, out, err = run(capsys, "series", str(path))
+        assert (code, err) == (0, "")
+        assert out == f"fiber series: (1 + t) / (1-t)^2  {label}\n"
+
     def test_reduction(self, tmp_path, capsys):
         path = write_fixture(tmp_path, X3)
         code, out, _ = run(capsys, "reduction", str(path))

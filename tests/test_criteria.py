@@ -14,20 +14,34 @@ from fibrekit import (
     NotYetPolynomialError,
     PowerSeriesRing,
     SemigroupRing,
+    TheoremViolationError,
     analyze,
+    check_g1_criteria,
+    check_minimal_multiplicity,
     fit_tables,
     load_spec,
     quotient_length,
     reduction_number,
 )
 from fibrekit.cli import _SELFTEST_FIXTURES
+from fibrekit.criteria import _pure_power_reduction
 from conftest import fixture_text, forbid_search, make_x3_spec, make_x4_spec
 from test_certified_tail import semigroup_corpus_specs
 from test_space_corpus import SPACE_CORPUS, space_corpus_spec
 
 
+PASS, FAIL = CriterionStatus.PASS, CriterionStatus.FAIL
+
+
 def statuses(report):
     return {c.name: c.status for c in report.criteria}
+
+
+def with_g1(report, g1):
+    """The report's coefficients with g_1 replaced by g1."""
+    g = report.coefficients.g
+    moved = g.coefficients[:1] + (g1,) + g.coefficients[2:]
+    return report.coefficients._replace(g=g._replace(coefficients=moved))
 
 
 class TestAnalyzeValidation:
@@ -130,6 +144,51 @@ class TestFitTables:
         assert table == with_j[0]
         assert report.e.coefficients == (16, 6, 0)
 
+    def test_certified_minimal_j_is_the_pure_powers(self, corpus):
+        # tail_start reads I_1's pure powers as the box of any certified
+        # minimal J; on every test corpus the two are one ideal
+        specs = [
+            *(inst.spec_m for inst in corpus.instances),
+            *map(space_corpus_spec, SPACE_CORPUS),
+            *semigroup_corpus_specs(),
+        ]
+        for spec in specs:
+            assert reduction_number(spec).is_minimal, spec
+            assert _pure_power_reduction(spec) == spec.J, spec
+
+
+class TestMinimalMultiplicity:
+    def test_truncated_terms_skip_the_relative_implications(self):
+        # K I_1 = K J gives K I_(n+1) = K J I_n only for the powers of I_1:
+        # here I_2 = m^4 and g_1 = 1, not -len(R/K) = 0
+        ring = PowerSeriesRing("x", "y")
+        i = ring.ideal([(2, 0), (0, 2)])
+        spec = FiltrationSpec(
+            i, K=ring.unit_ideal(), J=i, truncated_terms=(i, ring.maximal_ideal() ** 4)
+        )
+        report = analyze(spec)
+        flags = report.minimal_multiplicity
+        assert (flags.relative, flags.g1_relative) == (True, False)
+        assert report.g1 == 1
+
+    @staticmethod
+    def check(report, g1):
+        return check_minimal_multiplicity(
+            report.spec, with_g1(report, g1), report.table, report.reduction
+        )
+
+    def test_adic_relative_implications_raise(self, sg_report, x3_report):
+        # K I = K J, so g_1 must be -len(R/K) = -1
+        assert sg_report.minimal_multiplicity.relative
+        with pytest.raises(TheoremViolationError, match="K I = K J but g_1 = 0"):
+            self.check(sg_report, 0)
+        # m I cap J = m J but m I != m J, so g_1 = -1 must not hold
+        spec = x3_report.spec
+        assert spec.kterm(1).intersect(spec.J) == spec.kjterm(0) != spec.kterm(1)
+        with pytest.raises(TheoremViolationError, match="yet K I differs from K J"):
+            self.check(x3_report, -1)
+        assert self.check(x3_report, 0)[1] == x3_report.minimal_multiplicity
+
 
 class TestX3Criteria:
     def test_criterion_set(self, x3_report):
@@ -201,6 +260,60 @@ class TestX4Criteria:
         spec = x4_report.spec
         assert quotient_length(spec.I, spec.J) == 5
         assert quotient_length(spec.term(2), spec.jterm(1)) == 2
+
+
+class TestG1Criteria:
+    """check_g1_criteria on real specs, with g_1 moved off its true value."""
+
+    @staticmethod
+    def run(report, shift=0):
+        coefficients = with_g1(report, report.g1 + shift)
+        results = check_g1_criteria(
+            report.spec, coefficients, report.reduction, report.graded_depth
+        )
+        return {c.name: (c.status, c.lhs, c.rhs, c.note) for c in results}
+
+    def test_results_come_in_report_order_with_the_search_bound(self, x3_report, x4_report):
+        for report in (x3_report, x4_report):
+            results = check_g1_criteria(
+                report.spec, report.coefficients, report.reduction, report.graded_depth
+            )
+            assert results == report.criteria[:4]
+            assert [c.name for c in results] == [
+                "g1-lower-bound", "g1-upper-bound", "fiber-cohen-macaulay", "fiber-depth"
+            ]
+            assert {c.bound for c in results} == {report.reduction.checked_through + 1}
+
+    def test_pass(self, x3_report):
+        assert self.run(x3_report) == {
+            "g1-lower-bound": (PASS, 0, 0, "g_1 >= lower length sum"),
+            "g1-upper-bound": (PASS, 0, 0, "g_1 <= upper length sum"),
+            "fiber-cohen-macaulay": (PASS, 0, 0, "fiber cone is Cohen-Macaulay"),
+            "fiber-depth": (PASS, 0, 0, "fiber depth >= dim - 1"),
+        }
+
+    def test_fail(self, x3_report):
+        assert self.run(x3_report, +1) == {
+            "g1-lower-bound": (PASS, 1, 0, "g_1 >= lower length sum"),
+            "g1-upper-bound": (FAIL, 1, 0, "upper length sum exceeded"),
+            "fiber-cohen-macaulay": (FAIL, 1, 0, "fiber cone is not Cohen-Macaulay"),
+            "fiber-depth": (FAIL, 1, 0, "fiber depth < dim - 1"),
+        }
+
+    def test_gated_equality_holding_and_failing(self, x4_report):
+        gated = CriterionStatus.PRECONDITION_NOT_ESTABLISHED
+        for shift, word in ((0, "holds"), (+1, "fails")):
+            note = f"graded depth below dim - 1: equality {word} but carries no verdict"
+            got = self.run(x4_report, shift)
+            g1 = 2 + shift
+            assert got["fiber-cohen-macaulay"] == (gated, g1, 2, note)
+            assert got["fiber-depth"] == (gated, g1, 2, note)
+        assert got["g1-upper-bound"] == (FAIL, 3, 2, "upper length sum exceeded")
+
+    def test_lower_bound_is_a_theorem(self, x3_report):
+        with pytest.raises(TheoremViolationError) as err:
+            self.run(x3_report, -1)
+        assert str(err.value) == "g_1 = -1 undercuts its certified lower bound 0"
 
 
 class TestSemigroupCriteria:

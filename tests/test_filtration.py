@@ -560,6 +560,18 @@ class TestSharedTerms:
                 assert checked.kjterm(n) is checked.jterm(n)
 
     @pytest.mark.parametrize(
+        "make",
+        [lambda: semigroup_m_spec(5, 7), *UNIT_K_SPECS.values()],
+        ids=["semigroup-k-is-i", *UNIT_K_SPECS.keys()],
+    )
+    def test_delegating_specs_never_build_k_times_j(self, make):
+        spec = make()
+        analyze(spec)
+        assert spec._kj is None
+        with pytest.raises(MissingReductionError):
+            FiltrationSpec(spec.I, K=spec.K).kjterm(0)
+
+    @pytest.mark.parametrize(
         "make", [make_x3_spec, make_sg_spec, lambda: semigroup_m_spec(5, 7)]
     )
     def test_analysis_adds_no_attribute_to_the_spec(self, make):
@@ -577,6 +589,9 @@ class TestSharedTerms:
         spec = make_x3_spec()
         spec.term(2)
         assert spec.kterm(1) is not spec.term(2)
+        # a spec that does not delegate builds K J once and keeps it
+        spec.kjterm(0)
+        assert spec._kj == spec.K * spec.J
 
 
 class TestLedgerLogging:
