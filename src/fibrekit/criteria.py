@@ -36,6 +36,7 @@ from .analysis import (
 )
 from .errors import InputError, NotAReductionError, TheoremViolationError
 from .filtration import FiltrationSpec, HilbertTable, build_table
+from .ideals import adic_start
 from .reductions import (
     DepthClass,
     GradedDepth,
@@ -349,25 +350,24 @@ def check_minimal_multiplicity_equivalences(
 
 def class_threshold(gens: tuple, box: list) -> int:
     """The largest k_0(M_b) over the residue classes b of the m-primary
-    monomial ideal T = (gens) modulo the box a = (a_1, ..., a_d), d >= 2.
+    monomial ideal T = (gens) modulo the box a = (a_1, ..., a_d), d >= 2:
+    len(S / m^k M_b) is a polynomial in k for k >= k_0(M_b).
 
     M_b is generated by the ceilings v_i = ceil((u_i - b_i)^+ / a_i) of the
-    generators u of T; they need not be minimal. Its least pure power on
-    axis i, p_i(b), is the least v_i over the u with u_j <= b_j for j != i,
-    and it is the componentwise maximum of M_b's minimal generators. In the
-    plane k_0 = min(p_1, p_2) - 1, and p_i only falls as b grows, so the
-    class b = 0 attains the maximum: it is read off T's pure powers. In
-    d >= 3 each class is bounded by |p(b)| - min |v| - (d - 1), with the
-    ceilings precomputed per axis. The column of ceilings on axis i depends
-    on b_i = c alone and changes only where c reaches some u_i mod a_i, so
-    c in {0} and those residues give every distinct column, at most mu + 1
-    per axis, and the maximum runs over their products only.
+    generators u of T; they need not be minimal. In the plane k_0 is at most
+    min(p_1, p_2) - 1, p_i the least pure power of M_b on axis i, and p_i
+    only falls as b grows, so the class b = 0 bounds every class: it is read
+    off T's pure powers (a bound, not always attained). In d >= 3 each k_0
+    is exact, read off the numerator of M_b's series (ideals.adic_start). The
+    column of ceilings on axis i depends on b_i = c alone and changes only
+    where c reaches some u_i mod a_i, so c in {0} and those residues give
+    every distinct column, at most mu + 1 per axis, and the maximum runs
+    over their products only.
     """
     if len(box) == 2:
         # canonical plane generators run from (0, y) to (x, 0)
         x, y = gens[-1][0], gens[0][1]
         return min(-(-x // box[0]), -(-y // box[1])) - 1
-    d = len(box)
     axes = [
         {
             tuple(-(-max(u[i] - c, 0) // a) for u in gens)
@@ -375,14 +375,7 @@ def class_threshold(gens: tuple, box: list) -> int:
         }
         for i, a in enumerate(box)
     ]
-
-    def spread(cols) -> int:
-        cands = list(zip(*cols))
-        # v lies on axis i when every other ceiling is 0
-        top = sum(min(v[i] for v in cands if sum(v) == v[i]) for i in range(d))
-        return top - min(map(sum, cands))
-
-    return max(map(spread, itertools.product(*axes))) - (d - 1)
+    return adic_start(zip(*cols) for cols in itertools.product(*axes))
 
 
 def tail_start(spec: FiltrationSpec, r: int) -> int:
@@ -427,17 +420,23 @@ def fit_tables(
     with basis the monomials x^b, 0 <= b_i < a_i (the Apery set of a in a
     semigroup ring), so a monomial ideal T splits as T = (+)_b x^b M_b with
     M_b a monomial ideal of S in y_i = x_i^a_i, and J^k T = (+)_b x^b m_S^k M_b.
-    Hence len(R/J^k T) = sum_b #{v in N^d : v not in m^k M_b}. By
-    inclusion-exclusion over the generators of M_b this count is a
-    polynomial in k for k >= k_0(M_b), the maximum over generator sets G of
-    |lcm G| - max_{u in G} |u|, minus d - 1 (Bruns-Herzog 4.1,
-    Huneke-Swanson 1.4): each term C(max(k + max|u| - |lcm G|, 0) + d - 1, d)
-    is the binomial polynomial once its argument is >= -(d - 1). In the
-    plane the extreme pair of generators attains the maximum; in d >= 3,
-    |componentwise max| - min |u| - (d - 1) bounds it (`class_threshold`).
-    So H and H_K are polynomial for n >= N = r + max(0, k_0 over all b, for
-    T = I_r and T = K I_r), and a fit read off a table through N + d is a
-    proof. In d = 1 every k_0 is 0 and N = r: H(n) = H(r) + (n - r) a.
+    Hence len(R/J^k T) = sum_b #{v in N^d : v not in m^k M_b}, and this
+    count is a polynomial in k for k >= k_0(M_b) (`class_threshold`). In
+    d >= 3, k_0 is exact: with HS(S / M_<=s) = Q_s / (1 - t)^d the
+    standard-graded Hilbert series of the ideal generated by M_b's
+    generators of degree <= s (Bigatti's pivot numerators; Bruns-Herzog
+    4.1), sum_k len(S / m^k M_b) t^k = P / (1 - t)^(d + 1) with P =
+    len(S/M_b) (1 - t)^d + t sum_s t^(-s) (Q_s- - Q_s) over M_b's generator
+    degrees, s- the one below s, so the count is a polynomial exactly from
+    k_0 = max(0, deg P - d) on (`ideals.adic_start`). In the plane k_0 is
+    bounded in closed form by inclusion-exclusion over the generator sets G
+    of M_b (Huneke-Swanson 1.4): each term C(max(k + max|u| - |lcm G|, 0)
+    + 1, 2) is the binomial polynomial once its argument is >= -1, the
+    extreme pair of generators attains the largest |lcm G| - max |u|, and
+    the class b = 0 bounds every class. So H and H_K are polynomial for
+    n >= N = r + max(0, k_0 over all b, for T = I_r and T = K I_r), and a
+    fit read off a table through N + d is a proof. In d = 1 every k_0 is 0
+    and N = r: H(n) = H(r) + (n - r) a.
 
     Start rule. Without n_max the table runs to N + d. A pinned n_max of at
     least N + d is certified as given, so a report's own n_max reproduces

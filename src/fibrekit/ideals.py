@@ -46,11 +46,17 @@ z values, its height times the area under the profile. In d >= 4 the same
 three kernels read one slab walk: per distinct last coordinate z, the
 antichain A_z of the projections of the points at or below z, handed to the
 same code one dimension down, ending in the d = 3 sweep.
+
+The standard-graded Hilbert series of a monomial ideal has its numerator
+from Bigatti's pivot recursion (_hilbert_numerator); adic_start reads off
+it, per ideal M, the k from which len(S / m^k M) is a polynomial in k.
+
 Setting the module flag CROSS_CHECK = True makes containment re-run the
-divisibility test and makes colength also run inclusion-exclusion over
+divisibility test, makes colength also run inclusion-exclusion over
 generator subsets (for <= 20 generators) and a lattice-point scan of the
-pure-power box, and raises InternalInconsistencyError when the answers
-differ; tests switch it on.
+pure-power box, and makes adic_start compare its series with the colengths
+of the products m^k M; each raises InternalInconsistencyError when the
+answers differ. Tests switch it on.
 """
 
 from __future__ import annotations
@@ -636,6 +642,133 @@ def _colength_scan(gens: tuple, box: list):
         if not any(_divides(g, pt) for g in gens):
             total += 1
     return total
+
+
+# ---------------------------------------------------------------------------
+# standard-graded Hilbert series of monomial ideals
+
+
+def _plus_shifted(a: list, b: list, e: int, sign: int = 1) -> list:
+    """The coefficient list of a + sign * t^e * b."""
+    out = a + [0] * (len(b) + e - len(a))
+    for k, c in enumerate(b, e):
+        out[k] += sign * c
+    return out
+
+
+def _hilbert_numerator(gens: tuple) -> list:
+    """Coefficients of Q with sum_n len((S/N)_n) t^n = Q / (1 - t)^d, for
+    the monomial ideal N of S = k[y_1, ..., y_d] in the standard grading
+    with minimal generators gens (a canonical antichain; Q = 1 when empty).
+
+    Bigatti's pivot recursion (J. Pure Appl. Algebra 119, 1997): for a
+    monomial p of degree e, 0 -> S/(N : p)(-e) -> S/N -> S/(N + p) -> 0 is
+    exact, so Q(N) = Q(N + p) + t^e Q(N : p). While two or more minimal
+    generators are not pure powers, the pivot is y_i^e, y_i the variable in
+    most of them and e the median of its exponents there; both branches
+    lower the total degree of the minimal generators, and N + p needs no
+    minimalizing: no pure power of y_i at or below e is a minimal generator
+    beside a generator with y_i-exponent e. Pure powers y_i^a alone give
+    Q = prod (1 - t^a), which is 0 for the unit ideal, and one more
+    generator g is its own pivot: N + g with N pure has Q(N) - t^|g|
+    Q(N : g), and N : g is pure again."""
+    mixed = [g for g in gens if len(g) - g.count(0) > 1]
+    if len(mixed) > 1:
+        cols = [[x for x in col if x] for col in zip(*mixed)]
+        i = max(range(len(cols)), key=lambda i: len(cols[i]))
+        e = sorted(cols[i])[len(cols[i]) // 2]
+        pivot = (0,) * i + (e,) + (0,) * (len(cols) - i - 1)
+        plus = tuple(g for g in gens if g[i] < e) + (pivot,)
+        colon = _antichain(g[:i] + (max(g[i] - e, 0),) + g[i + 1:] for g in gens)
+        return _plus_shifted(_hilbert_numerator(plus), _hilbert_numerator(colon), e)
+    pure = [g for g in gens if len(g) - g.count(0) < 2]
+    q = _box_numerator(map(sum, pure))
+    if mixed:
+        (g,) = mixed
+        colon = (sum(max(x - y, 0) for x, y in zip(u, g)) for u in pure)
+        q = _plus_shifted(q, _box_numerator(colon), sum(g), -1)
+    return q
+
+
+def _box_numerator(exponents) -> list:
+    """prod (1 - t^a) over the exponents a of pure powers, one per axis."""
+    q = [1]
+    for a in exponents:
+        q = _plus_shifted(q, q, a, -1)
+    return q
+
+
+def adic_start(classes) -> int:
+    """The largest k_0(M) over the m-primary monomial ideals M of S =
+    k[[y_1, ..., y_d]], one per generating set in classes (none need be
+    minimal): the least k_0 >= 0 with len(S / m^k M) a polynomial in k for
+    every k >= k_0, m = (y_1, ..., y_d). Equal ideals are read once, and the
+    unit ideal has k_0 = 0: len(S / m^k) = C(k + d - 1, d) for every k >= 0.
+
+    A monomial w lies in m^k M outside m^(k+1) M exactly when |w| - s(w) =
+    k, s(w) the least degree of a generator dividing w. With M_<=s generated
+    by the generators of degree <= s and HS(S / M_<=s) = Q_s / (1 - t)^d
+    (_hilbert_numerator), the w with s(w) = s are counted by (Q_s- - Q_s)
+    / (1 - t)^d, s- the generator degree below s (Q = 1 below the least).
+    So sum_k len(m^k M / m^(k+1) M) t^k = A / (1 - t)^d with A = sum_s
+    t^(-s) (Q_s- - Q_s) (_graded_numerator), and summing over j < k,
+
+        sum_k len(S / m^k M) t^k = P / (1 - t)^(d + 1),
+        P = len(S/M) (1 - t)^d + t A.
+
+    The coefficient of t^k is a polynomial in k from k = deg P - d on, and
+    not at deg P - d - 1, where the top term's C(k - deg P + d, d) leaves
+    the binomial polynomial. deg P = deg A + 1 when that exceeds d, and
+    otherwise deg P <= d, so k_0 = max(0, deg A + 1 - d)."""
+    k0 = 0
+    for gens in {_antichain(c) for c in classes}:
+        if any(gens[0]):
+            k0 = max(k0, len(_graded_numerator(gens)) - len(gens[0]))
+    return k0
+
+
+def _graded_numerator(gens: tuple) -> list:
+    """Coefficients of A (see adic_start), trailing zeros dropped, for the
+    m-primary ideal M with minimal generators gens. Under CROSS_CHECK, P is
+    expanded and compared, for k = 0 .. k_0 + d, with the colength of the
+    product m^k M, built generator by generator; a difference raises
+    InternalInconsistencyError."""
+    degrees = [sum(g) for g in gens]
+    a = [0]
+    below = [1]
+    for s in sorted(set(degrees)):
+        q = _hilbert_numerator(tuple(g for g, e in zip(gens, degrees) if e <= s))
+        # Q_s- - Q_s has no term below degree s
+        a = _plus_shifted(a, _plus_shifted(below, q, 0, -1)[s:], 0)
+        below = q
+    while len(a) > 1 and not a[-1]:
+        a.pop()
+    if CROSS_CHECK:
+        _check_adic_series(gens, a, below)
+    return a
+
+
+def _check_adic_series(gens: tuple, a: list, q: list):
+    """Compare the series P / (1 - t)^(d + 1) of adic_start, with len(S/M)
+    read off M's numerator q, against the colengths of the products."""
+    d = len(gens[0])
+    # q = (1 - t)^d h and len(S/M) = h(1) = (-1)^d q^(d)(1) / d!
+    colength = (-1) ** d * sum(c * math.comb(k, d) for k, c in enumerate(q))
+    p = [(-1) ** k * math.comb(d, k) * colength for k in range(d + 1)]
+    stop = max(len(a) - d, 0) + d + 1
+    series = _plus_shifted(p, a, 1) + [0] * stop
+    for _ in range(d + 1):
+        series = list(itertools.accumulate(series))
+    steps = [(0,) * i + (1,) + (0,) * (d - i - 1) for i in range(d)]
+    power = gens
+    for k in range(stop):
+        got = _colength_slice(power)
+        if got != series[k]:
+            raise InternalInconsistencyError(
+                f"adic series of {list(gens)} gives len(S/m^{k} M) = {series[k]}, "
+                f"the colength of the product is {got}"
+            )
+        power = _antichain(tuple(map(operator.add, g, u)) for g in power for u in steps)
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,8 @@ from fibrekit import (
     coefficient_report,
 )
 from fibrekit.criteria import class_threshold
+from fibrekit.ideals import adic_start
+from conftest import colength_cross_check
 from test_ideals_semigroup import random_semigroup
 from test_space_corpus import SPACE_CORPUS, space_corpus_spec
 
@@ -181,21 +183,47 @@ def test_postulation_past_the_reduction_number_is_certified():
     assert e.value(3) != h[3]
 
 
+def class_ceilings(gens, box, b):
+    """Generators of M_b, not minimal: ceil((u - b)^+ / a) for each u."""
+    return [tuple(-(-max(u - c, 0) // a) for u, c, a in zip(g, b, box)) for g in gens]
+
+
+@pytest.mark.parametrize(
+    "dim,cases,a_cap,cap", [(3, 30, 3, 4), (4, 4, 2, 3)], ids=["d3", "d4"]
+)
+def test_class_counts_are_polynomial_exactly_from_the_class_start(dim, cases, a_cap, cap):
+    """k_0 of one class is exact: the oracle's count is a polynomial in k
+    from k_0 on, and at k_0 - 1 it misses the polynomial through k_0 ..
+    k_0 + d (a nonzero (d + 1)-th difference there). CROSS_CHECK compares
+    each class's series with the colengths of the products m^k M_b."""
+    rng = random.Random(1300 + dim)
+    ring = PowerSeriesRing(*"xyzw"[:dim])
+    late = 0
+    for _ in range(cases):
+        ideal = ring.ideal(random_cofinite_gens(rng, dim, cap))
+        gens = (ideal * ideal if rng.random() < 0.5 else ideal).gens
+        box = [rng.randint(1, a_cap) for _ in range(dim)]
+        b = tuple(rng.randrange(a) for a in box)
+        with colength_cross_check():
+            k0 = adic_start([class_ceilings(gens, box, b)])
+        first = max(k0 - 1, 0)
+        values = [oracle_class_count(gens, box, b, k) for k in range(first, k0 + dim + 3)]
+        for _ in range(dim + 1):
+            values = [y - x for x, y in zip(values, values[1:])]
+        if k0:
+            assert values.pop(0) != 0, (gens, box, b, k0)
+            late += 1
+        assert values == [0, 0], (gens, box, b, k0)
+    assert late
+
+
 def every_class_threshold(gens, box):
-    """The d >= 3 bound of class_threshold taken over all prod a_i residue
-    classes, one column of ceilings per residue c = 0..a_i - 1."""
-    d = len(box)
-    axes = [
-        [tuple(-(-max(u[i] - c, 0) // a) for u in gens) for c in range(a)]
-        for i, a in enumerate(box)
-    ]
-
-    def spread(cols):
-        cands = list(zip(*cols))
-        top = sum(min(v[i] for v in cands if sum(v) == v[i]) for i in range(d))
-        return top - min(map(sum, cands))
-
-    return max(map(spread, itertools.product(*axes))) - (d - 1)
+    """The k_0 of adic_start taken class by class over all prod a_i residue
+    classes b, without the distinct columns of class_threshold."""
+    return max(
+        adic_start([class_ceilings(gens, box, b)])
+        for b in itertools.product(*(range(a) for a in box))
+    )
 
 
 @pytest.mark.parametrize("dim,cases,a_cap", [(3, 120, 9), (4, 40, 5)], ids=["d3", "d4"])
@@ -217,5 +245,5 @@ def test_a_huge_pure_power_costs_no_class_per_residue():
     j = ring.ideal([(100000, 0, 0), (0, 2, 0), (0, 0, 2)])
     report = analyze(FiltrationSpec(i, J=j))
     assert report.reduction.r == 1
-    assert report.coefficients.certified_from == 3
+    assert report.coefficients.certified_from == 1
     assert report.coefficients.e0 == 400000

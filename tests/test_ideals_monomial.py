@@ -655,6 +655,66 @@ class TestSliceKernels:
                 ideal.contains(small)
 
 
+def monomials_of_degree(dim, n):
+    """Exponent vectors of degree n in dim variables (stars and bars)."""
+    for bars in itertools.combinations(range(n + dim - 1), dim - 1):
+        cuts = (-1,) + bars + (n + dim - 1,)
+        yield tuple(b - a - 1 for a, b in zip(cuts, cuts[1:]))
+
+
+def expand_series(q, dim, top):
+    """Coefficients of t^0 .. t^top of q / (1 - t)^dim."""
+    series = (q + [0] * (top + 1))[: max(len(q), top + 1)]
+    for _ in range(dim):
+        series = list(itertools.accumulate(series))
+    return series[: top + 1]
+
+
+class TestHilbertNumerator:
+    """The pivot recursion's numerator Q against a brute count, degree by
+    degree, of the monomials outside the ideal; adic_start's cross-check
+    against the colengths of the products m^k M."""
+
+    def check(self, gens, dim, top):
+        q = fibrekit.ideals._hilbert_numerator(fibrekit.ideals._antichain(gens))
+        counts = [
+            sum(not any(divides(g, w) for g in gens) for w in monomials_of_degree(dim, n))
+            for n in range(top + 1)
+        ]
+        assert expand_series(q, dim, top) == counts, (gens, q)
+
+    def test_random_ideals_against_degree_counts(self):
+        rng = random.Random(77)
+        for _ in range(300):
+            dim = rng.randint(2, 5)
+            gens = [tuple(rng.randint(0, 3) for _ in range(dim)) for _ in range(rng.randint(1, 6))]
+            if rng.random() < 0.5:
+                # a multiple of a generator: the list is not minimal
+                gens.append(tuple(e + rng.randint(0, 2) for e in rng.choice(gens)))
+            self.check(gens, dim, 8 if dim < 5 else 6)
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5])
+    def test_unit_zero_and_pure_power_ideals(self, dim):
+        assert fibrekit.ideals._hilbert_numerator(()) == [1]
+        self.check([], dim, 6)
+        self.check([(0,) * dim], dim, 6)
+        self.check([(0,) * dim, (1,) * dim], dim, 6)
+        pure = [tuple(i + 2 if j == i else 0 for j in range(dim)) for i in range(dim)]
+        self.check(pure, dim, 8)
+        # pure powers only, one axis missing, one repeated at a higher power
+        self.check(pure[1:] + [tuple(9 if j == 1 else 0 for j in range(dim))], dim, 8)
+
+    def test_cross_check_catches_a_wrong_numerator(self, monkeypatch):
+        m2 = [(2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 1, 1), (0, 0, 2)]
+        with colength_cross_check():
+            assert fibrekit.ideals.adic_start([m2]) == 0
+        monkeypatch.setattr(fibrekit.ideals, "_box_numerator", lambda exponents: [1])
+        fibrekit.ideals.adic_start([m2])
+        with colength_cross_check():
+            with pytest.raises(InternalInconsistencyError):
+                fibrekit.ideals.adic_start([m2])
+
+
 class TestOneVariable:
     """k[[x]]: every ideal is (x^a) or zero, so each kernel is a comparison
     of exponents."""

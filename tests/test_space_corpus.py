@@ -82,6 +82,15 @@ def test_space_corpus(i_gens):
     assert lower.lhs == upper.lhs == g[1]
 
 
+def test_the_tail_starts_at_r_on_the_frontier_input():
+    """(x^3, y^3, z^3, xyz, x^2 y): every class of I_4 and K I_4 is
+    polynomial from k = 0, so N = r = 4 and the table stops at N + d = 7."""
+    report = analyze(space_corpus_spec(SPACE_CORPUS[2]))
+    assert report.reduction.r == 4
+    assert report.coefficients.certified_from == 4
+    assert report.table.n_max == 7
+
+
 @pytest.mark.parametrize("i_gens", SPACE_CORPUS, ids=lambda g: f"{len(g)}gens-a{g[0][0]}")
 def test_reduction_rule_against_search(i_gens):
     """Every J between the pure powers and I is certified a reduction and
@@ -107,8 +116,9 @@ def test_reduction_rule_against_search(i_gens):
 
 def test_d4_frontier_input():
     """I = (x^3, y^3, z^3, w^3, xyzw), J = the pure powers, K = m: d = 4 runs
-    the slice kernels one level above the d = 3 sweep. CROSS_CHECK stays off,
-    since its box scan over this table takes minutes."""
+    the slice kernels one level above the d = 3 sweep. The tail starts at
+    N = r = 2, so the table stops at N + d = 6. CROSS_CHECK stays off,
+    since its box scan over this analysis takes minutes."""
     i_gens = (
         (3, 0, 0, 0), (0, 3, 0, 0), (0, 0, 3, 0), (0, 0, 0, 3), (1, 1, 1, 1)
     )
@@ -119,6 +129,8 @@ def test_d4_frontier_input():
 
     assert brute_reduction_number(i_gens, j_gens) == 2
     assert report.reduction.r == 2
+    assert report.coefficients.certified_from == 2
+    assert report.table.n_max == 6
     assert report.e0 == 81
     assert oracle_colength(SimpleNamespace(gens=i_gens)) == 65
     assert report.table.h[1] == 65
@@ -126,5 +138,30 @@ def test_d4_frontier_input():
     g = report.coefficients.g.coefficients
     f = report.coefficients.f.coefficients
     assert e[0] == g[0] == 81
+    for i in range(1, 5):
+        assert g[i] == e[i] - f[i - 1], i
+
+
+def test_d4_input_with_three_mixed_generators():
+    """I = (x^4, y^4, z^4, w^4, x^2 yz, yzw^2, xyzw), J = the pure powers,
+    K = m: r = 5 and N = r, so the table stops at N + d = 9."""
+    i_gens = (
+        (4, 0, 0, 0), (0, 4, 0, 0), (0, 0, 4, 0), (0, 0, 0, 4),
+        (2, 1, 1, 0), (0, 1, 1, 2), (1, 1, 1, 1),
+    )
+    j_gens = i_gens[:4]
+    ring = PowerSeriesRing("x", "y", "z", "w")
+    report = analyze(FiltrationSpec(ring.ideal(i_gens), J=ring.ideal(j_gens)))
+
+    assert brute_reduction_number(i_gens, j_gens) == 5
+    assert report.reduction.r == 5
+    assert report.coefficients.certified_from == 5
+    assert report.table.n_max == 9
+    assert report.e0 == 256
+    assert report.table.h[1] == oracle_colength(SimpleNamespace(gens=i_gens))
+    e = report.coefficients.e.coefficients
+    g = report.coefficients.g.coefficients
+    f = report.coefficients.f.coefficients
+    assert e[0] == g[0] == 256
     for i in range(1, 5):
         assert g[i] == e[i] - f[i - 1], i
