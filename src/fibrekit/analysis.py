@@ -227,7 +227,8 @@ class VSequence(NamedTuple):
     """The d = 2 length decomposition of g_1 and g_2.
 
     values[0] = e_0, values[1] = e_0 - H_K(1) + H_K(0), and for n >= 2
-    values[n] = len(K I_n / K J I_{n-1}) - len((K I_{n-1} : J) / K I_{n-2}).
+    values[n] is the right side of the fundamental-lemma row at n,
+    len(K I_n / K J I_{n-1}) - len((K I_{n-1} : J) / K I_{n-2}).
     Then g_1 = sum_{n>=1} values[n] and
     g_2 = sum_{n>=1} (n-1) values[n] + H_K(0), both cross-checked against
     the fitted coefficients.
@@ -238,23 +239,12 @@ class VSequence(NamedTuple):
     g2: int
 
 
-def v_sequence(
-    spec: FiltrationSpec,
-    table: HilbertTable,
-    coefficients: CoefficientReport,
-    n_stop: int | None = None,
-) -> VSequence:
-    """Compute the v-sequence (dimension 2 only) through n_stop (default
-    table.n_max) and cross-check the fit."""
-    if spec.dim != 2:
-        raise InternalInconsistencyError("the v-sequence is a dimension-2 construction")
-    spec.require_j()
-    if n_stop is None:
-        n_stop = table.n_max
+def v_sequence(rows: tuple, table: HilbertTable, coefficients: CoefficientReport) -> VSequence:
+    """The v-sequence read off the rows of fundamental_lemma_rows, which
+    start at n = 2 and carry its guards (dimension 2, a minimal J), and
+    cross-checked against the fitted g_1 and g_2."""
     e0 = coefficients.e0
-    values = [e0, e0 - table.hk[1] + table.hk[0]]
-    for n in range(2, n_stop + 1):
-        values.append(spec.length("K upper", n) - spec.length("colon", n))
+    values = [e0, e0 - table.hk[1] + table.hk[0], *(row.rhs for row in rows)]
     g1 = sum(values[1:])
     g2 = sum((n - 1) * values[n] for n in range(1, len(values))) + table.hk[0]
     if g1 != coefficients.g.coefficients[1] or g2 != coefficients.g.coefficients[2]:
@@ -271,7 +261,6 @@ class LemmaRow(NamedTuple):
     n: int
     lhs: int
     rhs: int
-    equal: bool
 
 
 def fundamental_lemma_rows(
@@ -315,7 +304,7 @@ def fundamental_lemma_rows(
             raise TheoremViolationError(
                 f"second-difference identity fails at n = {n}: {lhs} != {rhs}"
             )
-        rows.append(LemmaRow(n=n, lhs=lhs, rhs=rhs, equal=True))
+        rows.append(LemmaRow(n=n, lhs=lhs, rhs=rhs))
     return tuple(rows)
 
 
@@ -379,25 +368,3 @@ def fiber_hilbert_series(table: HilbertTable, dim: int, fit: CoefficientSet) -> 
         pole_order=dim,
         has_negative=any(c < 0 for c in coeffs),
     )
-
-
-def g1_from_lengths_dim1(
-    spec: FiltrationSpec,
-    table: HilbertTable,
-    coefficients: CoefficientReport,
-    reduction_number: int,
-) -> int:
-    """Dimension-1 identity g_1 = sum_n len(K I_n / x K I_{n-1}) - len(R/K)
-    for J = (x); the sum is certified to terminate and the result is
-    cross-checked against the fitted g_1."""
-    if not spec.table_route:
-        raise InternalInconsistencyError(
-            "this identity needs dimension 1 and a principal reduction J = (x)"
-        )
-    value = spec.length_sum("K upper", reduction_number) - table.hk[0]
-    if value != coefficients.g1:
-        raise TheoremViolationError(
-            f"dimension-1 length formula gives g_1 = {value}, "
-            f"the fit gives {coefficients.g1}"
-        )
-    return value

@@ -702,8 +702,9 @@ def adic_start(classes) -> int:
     """The largest k_0(M) over the m-primary monomial ideals M of S =
     k[[y_1, ..., y_d]], one per generating set in classes (none need be
     minimal): the least k_0 >= 0 with len(S / m^k M) a polynomial in k for
-    every k >= k_0, m = (y_1, ..., y_d). Equal ideals are read once, and the
-    unit ideal has k_0 = 0: len(S / m^k) = C(k + d - 1, d) for every k >= 0.
+    every k >= k_0, m = (y_1, ..., y_d). Equal ideals are read once, and an
+    M minimally generated in degree <= 1 (S or m) has k_0 = 0: len(S / m^k M)
+    is C(k + d - 1, d) or C(k + d, d) for every k >= 0.
 
     A monomial w lies in m^k M outside m^(k+1) M exactly when |w| - s(w) =
     k, s(w) the least degree of a generator dividing w. With M_<=s generated
@@ -722,7 +723,7 @@ def adic_start(classes) -> int:
     otherwise deg P <= d, so k_0 = max(0, deg A + 1 - d)."""
     k0 = 0
     for gens in {_antichain(c) for c in classes}:
-        if any(gens[0]):
+        if max(map(sum, gens)) > 1:
             k0 = max(k0, len(_graded_numerator(gens)) - len(gens[0]))
     return k0
 

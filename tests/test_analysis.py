@@ -7,6 +7,7 @@ import pytest
 import fibrekit.analysis
 from fibrekit import (
     Basis,
+    CriterionStatus,
     FiltrationSpec,
     HilbertSeries,
     HilbertTable,
@@ -15,18 +16,20 @@ from fibrekit import (
     PowerSeriesRing,
     TheoremViolationError,
     UndeterminedSumError,
+    analyze,
     binomial,
     build_table,
     coefficient_report,
     fiber_hilbert_series,
     fit_coefficients,
     fundamental_lemma_rows,
-    g1_from_lengths_dim1,
+    load_spec,
     quotient_length,
     v_sequence,
 )
 from fibrekit.analysis import basis_row
-from conftest import make_sg_spec, make_x3_spec
+from conftest import fixture_text, make_sg_spec, make_x3_spec
+from test_certified_tail import semigroup_corpus_specs
 
 
 def oracle_value(coeffs, dim, basis, n):
@@ -221,15 +224,10 @@ class TestVSequence:
         spec = make_x3_spec()
         table = build_table(spec, 8)
         report = coefficient_report(table, 2)
-        v = v_sequence(spec, table, report)
+        rows = fundamental_lemma_rows(spec, table, report.e0)
+        v = v_sequence(rows, table, report)
         assert v == x3_report.v
-
-    def test_dimension_guard(self):
-        spec = make_sg_spec()
-        table = build_table(spec, 8)
-        report = coefficient_report(table, 1)
-        with pytest.raises(InternalInconsistencyError):
-            v_sequence(spec, table, report)
+        assert v.values[2:] == tuple(row.rhs for row in rows)
 
 
 class TestFundamentalLemmaRows:
@@ -239,7 +237,7 @@ class TestFundamentalLemmaRows:
         report = coefficient_report(table, 2)
         rows = fundamental_lemma_rows(spec, table, report.e0)
         assert [row.n for row in rows] == list(range(2, 9))
-        assert all(row.equal and row.lhs == row.rhs for row in rows)
+        assert all(row.lhs == row.rhs for row in rows)
         # this filtration has every second difference equal to e_0
         assert all(row.lhs == 0 for row in rows)
 
@@ -312,28 +310,28 @@ class TestHilbertSeries:
         assert str(series) == "0"
 
 
+def dimension_one_specs():
+    """The packaged semigroup fixture, then the seeded semigroup corpus."""
+    yield load_spec(fixture_text("semigroup_4567.fk"))[1]
+    yield from semigroup_corpus_specs()
+
+
 class TestG1LengthFormulaDim1:
-    def test_example_value(self):
-        spec = make_sg_spec()
-        table = build_table(spec, 8)
-        report = coefficient_report(table, 1)
-        assert g1_from_lengths_dim1(spec, table, report, 2) == -1
+    def test_row_is_the_fiber_depth_row_reversed(self):
+        for spec in dimension_one_specs():
+            report = analyze(spec)
+            depth = report.criterion("fiber-depth")
+            row = report.criterion("g1-length-formula")
+            assert row.status is CriterionStatus.PASS
+            assert (row.lhs, row.rhs, row.bound) == (depth.rhs, depth.lhs, depth.bound)
+            assert report.g1_onedim_value == depth.rhs
 
-    def test_dimension_guard(self):
-        spec = make_x3_spec()
-        table = build_table(spec, 8)
-        report = coefficient_report(table, 2)
-        with pytest.raises(InternalInconsistencyError):
-            g1_from_lengths_dim1(spec, table, report, 2)
+    def test_disagreeing_upper_sum_raises(self, monkeypatch):
+        length_sum = FiltrationSpec.length_sum
 
-    def test_non_principal_reduction_rejected(self):
-        ring = make_sg_spec().ring
-        i = ring.ideal([4, 5, 6])
-        from fibrekit import FiltrationSpec
+        def one_more_upper(self, name, reduction_number):
+            return length_sum(self, name, reduction_number) + (name == "K upper")
 
-        spec = FiltrationSpec(i, J=ring.ideal([4, 5]))
-        table = build_table(spec, 8)
-        report = coefficient_report(table, 1)
-        with pytest.raises(InternalInconsistencyError) as err:
-            g1_from_lengths_dim1(spec, table, report, 2)
-        assert "principal" in str(err.value)
+        monkeypatch.setattr(FiltrationSpec, "length_sum", one_more_upper)
+        with pytest.raises(TheoremViolationError, match="dimension-1 length formula"):
+            analyze(make_sg_spec())

@@ -188,22 +188,42 @@ def class_ceilings(gens, box, b):
     return [tuple(-(-max(u - c, 0) // a) for u, c, a in zip(g, b, box)) for g in gens]
 
 
-@pytest.mark.parametrize(
-    "dim,cases,a_cap,cap", [(3, 30, 3, 4), (4, 4, 2, 3)], ids=["d3", "d4"]
-)
-def test_class_counts_are_polynomial_exactly_from_the_class_start(dim, cases, a_cap, cap):
-    """k_0 of one class is exact: the oracle's count is a polynomial in k
-    from k_0 on, and at k_0 - 1 it misses the polynomial through k_0 ..
-    k_0 + d (a nonzero (d + 1)-th difference there). CROSS_CHECK compares
-    each class's series with the colengths of the products m^k M_b."""
+def random_class_draws(dim, cases, a_cap, cap):
+    """Seeded (generators of T, box, class b), T = I or I^2 for a random
+    m-primary I."""
     rng = random.Random(1300 + dim)
     ring = PowerSeriesRing(*"xyzw"[:dim])
-    late = 0
     for _ in range(cases):
         ideal = ring.ideal(random_cofinite_gens(rng, dim, cap))
         gens = (ideal * ideal if rng.random() < 0.5 else ideal).gens
         box = [rng.randint(1, a_cap) for _ in range(dim)]
-        b = tuple(rng.randrange(a) for a in box)
+        yield gens, box, tuple(rng.randrange(a) for a in box)
+
+
+def maximal_ideal_class(dim):
+    """m_S itself: the class b = 0 of T = m over the box (1, ..., 1)."""
+    yield [tuple(int(i == j) for j in range(dim)) for i in range(dim)], [1] * dim, (0,) * dim
+
+
+@pytest.mark.parametrize(
+    "draws,late",
+    [
+        (lambda: random_class_draws(3, 30, 3, 4), True),
+        (lambda: random_class_draws(4, 4, 2, 3), True),
+        *((lambda dim=dim: maximal_ideal_class(dim), False) for dim in (3, 4, 5)),
+    ],
+    ids=["d3", "d4", "mS-d3", "mS-d4", "mS-d5"],
+)
+def test_class_counts_are_polynomial_exactly_from_the_class_start(draws, late):
+    """k_0 of one class is exact: the oracle's count is a polynomial in k
+    from k_0 on, and at k_0 - 1 it misses the polynomial through k_0 ..
+    k_0 + d (a nonzero (d + 1)-th difference there). CROSS_CHECK compares
+    each class's series with the colengths of the products m^k M_b. The
+    random draws reach some k_0 > 0; m_S, which adic_start skips, counts
+    C(k + d, d), a polynomial from k_0 = 0."""
+    seen_late = 0
+    for gens, box, b in draws():
+        dim = len(box)
         with colength_cross_check():
             k0 = adic_start([class_ceilings(gens, box, b)])
         first = max(k0 - 1, 0)
@@ -212,9 +232,9 @@ def test_class_counts_are_polynomial_exactly_from_the_class_start(dim, cases, a_
             values = [y - x for x, y in zip(values, values[1:])]
         if k0:
             assert values.pop(0) != 0, (gens, box, b, k0)
-            late += 1
+            seen_late += 1
         assert values == [0, 0], (gens, box, b, k0)
-    assert late
+    assert bool(seen_late) == late
 
 
 def every_class_threshold(gens, box):

@@ -173,9 +173,7 @@ class TestMinimalMultiplicity:
 
     @staticmethod
     def check(report, g1):
-        return check_minimal_multiplicity(
-            report.spec, with_g1(report, g1), report.table, report.reduction
-        )
+        return check_minimal_multiplicity(report.spec, with_g1(report, g1), report.table)
 
     def test_adic_relative_implications_raise(self, sg_report, x3_report):
         # K I = K J, so g_1 must be -len(R/K) = -1
