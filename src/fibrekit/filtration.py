@@ -15,11 +15,23 @@ J) and validates the defining hypotheses up front:
 Terms, K-terms, J-terms and K J-terms are cached on the spec. Each is
 built as I_n times I_1, K, J or K J: a product iterates over the generators
 of its right factor, so the factor with few generators goes on the right.
-When K = I_1^s with s in {0, 1} (K = R in any mode, since R I_n = I_n, or
-K = I_1 in an adic spec), K I_n is I_(n+s) and K J I_n is J I_(n+s), so
-kterm and kjterm delegate to term and jterm and their own caches stay
-empty, and K J is never built; under ideals.CROSS_CHECK they also build
-I_n K and I_n K J and compare.
+Two identities let one cached ideal stand for another instead, so that
+each ideal is built once:
+
+* the J-step: once reduction_number certifies r for the spec's own minimal
+  J, it records r (record_reduction_number), which proves I_(n+1) = J I_n
+  for every n >= r. From then on term(n + 1) is jterm(n), one product by
+  J's d generators and the same object in both caches, and kjterm(n) is
+  kterm(n + 1), since K J I_n = K I_(n+1); K J is not built for these.
+  Terms built before the record (the search's own, and in truncated mode
+  those the validation builds) stay as they were.
+* the K shift: when K = I_1^s with s in {0, 1} (K = R in any mode, since
+  R I_n = I_n, or K = I_1 in an adic spec), K I_n is I_(n+s) and K J I_n
+  is J I_(n+s), so kterm and kjterm delegate to term and jterm, their own
+  caches stay empty, and K J is never built.
+
+Under ideals.CROSS_CHECK every term that stands for a product is also
+built as that product (I_(n-1) I_1, I_n K or I_n K J) and compared.
 build_table evaluates H(n) = len(R/I_n), H_K(n) = len(R/K I_n) and
 H_F(n) = len(I_n/K I_n) = H_K(n) - H(n), after checking K I_n <= I_n.
 
@@ -40,7 +52,18 @@ At n >= 1 the entries "K lower", "K upper", "K cm" and "G cm" first read
 "G depth" at n, which is always computed, and are recorded as 0 without
 building their ideals when it is 0: then I_n = J I_{n-1}, and each of the
 four quotients is zero for every n, K and filtration (proof in length_sum).
-Under ideals.CROSS_CHECK each implied 0 is also computed directly.
+
+When K = I_1^s the K entries at n >= 1 are G entries at n + s, and read
+them (_K_TWINS) instead of computing their own quotients:
+
+* s = 0: "K upper" and "K cm" are "G depth", "K lower" is "G cm" (with
+  K I_n = I_n, and I_n + J I_(n-1) = I_n);
+* s = 1: "K upper"(n) is "G depth"(n + 1) and "K lower"(n) is
+  "G cm"(n + 1) (with K I_n = I_(n+1) and K J I_(n-1) = J I_n).
+
+"K cm" with s = 1 and "colon" keep their own quotients. Under
+ideals.CROSS_CHECK each implied 0 and each twin is also computed as its
+own quotient.
 
 In dimension 1 with a principal J = (f) (table_route), "G depth" and "K
 upper" are read off colengths the table already holds:
@@ -95,6 +118,15 @@ _TABLE = {
     "G depth": lambda s, n: (s.term(n - 1), s.term(n)),
 }
 
+# (s, entry) -> the G entry it equals at n + s when K = I_1^s, n >= 1
+_K_TWINS = {
+    (0, "K upper"): "G depth",
+    (0, "K cm"): "G depth",
+    (0, "K lower"): "G cm",
+    (1, "K upper"): "G depth",
+    (1, "K lower"): "G cm",
+}
+
 # entries that are 0 at any n >= 1 where "G depth" is 0 (see length_sum)
 _IMPLIED_BY_G_DEPTH = frozenset(("K lower", "K upper", "K cm", "G cm"))
 # entries whose sum over n >= 1 stops at the reduction number
@@ -131,6 +163,11 @@ class FiltrationSpec:
         self._k_shift = (
             0 if self.K.is_unit else 1 if truncated_terms is None and self.K == I else None
         )
+        if self._k_shift is not None:
+            _log.debug("K = I_1^%d: the K entries of the ledger read their G twins", self._k_shift)
+        # r once reduction_number certifies it for a minimal J: from there
+        # on I_(n+1) = J I_n (record_reduction_number)
+        self._r = None
         self._kterms: dict = {}
         self._jterms: dict = {}
         self._kjterms: dict = {}
@@ -204,24 +241,38 @@ class FiltrationSpec:
         return self.ring.dim == 1 and self.J is not None and len(self.J.minimal_generators()) == 1
 
     def term(self, n: int):
-        """I_n (I_0 = R), built as I_n = I_{n-1} I_1 past the explicit terms."""
+        """I_n (I_0 = R), built as I_n = I_{n-1} I_1 past the explicit terms,
+        and as the J-term J I_(n-1) past a recorded reduction number."""
         terms = self._terms
         got = terms.get(n)
         if got is not None:
             return got
         if n < 0:
             raise InputError("filtration terms are indexed by n >= 0")
+        r = self._r
         for i in range(len(terms), n + 1):
-            terms[i] = terms[i - 1] * self.I
+            if r is not None and i > r:
+                terms[i] = self._delegated(self.jterm(i - 1), i - 1, self.I)
+            else:
+                terms[i] = terms[i - 1] * self.I
         return terms[n]
 
+    def record_reduction_number(self, r: int) -> None:
+        """From now on build I_(n+1) as J I_n and K J I_n as K I_(n+1) for
+        n >= r: reduction_number has certified I_(n+1) = J I_n there, for
+        the spec's own minimal J."""
+        self._r = r
+        _log.debug("J-step from n = %d: I_n is built as J I_(n-1)", r + 1)
+
     def _delegated(self, got, n, *factors):
-        """got, the term that stands for I_n times the factors when K = I_1^s;
-        under ideals.CROSS_CHECK the product is also built and compared."""
+        """got, the term that stands for I_n times the factors when K = I_1^s
+        or past the J-step; under ideals.CROSS_CHECK the product is also
+        built and compared."""
         if ideals.CROSS_CHECK and got != math.prod(factors, start=self.term(n)):
             raise InternalInconsistencyError(
-                f"I_{n} * {' * '.join(map(str, factors))} differs from its term "
-                f"although K = I_1^{self._k_shift}"
+                f"I_{n} * {' * '.join(map(str, factors))} differs from the term "
+                f"that stands for it (K = I_1^{self._k_shift}, reduction "
+                f"number {self._r})"
             )
         return got
 
@@ -260,9 +311,13 @@ class FiltrationSpec:
         return got
 
     def kjterm(self, n: int):
-        """K * J * I_n; J I_(n+s), without building K J, when K = I_1^s."""
-        if self._k_shift is not None and n >= 0:
-            return self._delegated(self.jterm(n + self._k_shift), n, self.K, self.J)
+        """K * J * I_n; J I_(n+s) when K = I_1^s, and K I_(n+1) past the
+        J-step, neither building K J."""
+        if n >= 0:
+            if self._k_shift is not None:
+                return self._delegated(self.jterm(n + self._k_shift), n, self.K, self.J)
+            if self._r is not None and n >= self._r:
+                return self._delegated(self.kterm(n + 1), n, self.K, self.J)
         got = self._kjterms.get(n)
         if got is None:
             if self._kj is None:
@@ -275,26 +330,26 @@ class FiltrationSpec:
         key = (name, n)
         got = self._lengths.get(key)
         if got is None:
-            if n >= 1 and name in _IMPLIED_BY_G_DEPTH and self.length("G depth", n) == 0:
-                got = 0
-                if ideals.CROSS_CHECK and quotient_length(*_LEDGER[name](self, n)):
-                    raise InternalInconsistencyError(
-                        f"{name!r} at n = {n} is nonzero although I_n = J I_(n-1)"
-                    )
-            elif name in _TABLE and self.table_route:
-                got = self._table_length(name, n)
-            else:
-                got = quotient_length(*_LEDGER[name](self, n))
-            self._lengths[key] = got
+            got = self._lengths[key] = self._entry(name, n)
         return got
 
-    def _table_length(self, name: str, n: int) -> int:
-        """The d = 1 entry `name` at n off the table's colengths."""
-        before, here = _TABLE[name](self, n)
-        got = self.J.colength() + before.colength() - here.colength()
+    def _entry(self, name: str, n: int) -> int:
+        """The entry `name` at n by the first route that applies: implied 0,
+        G twin, Hilbert table, else its own quotient; the first three are
+        compared with the quotient under ideals.CROSS_CHECK."""
+        if n >= 1 and name in _IMPLIED_BY_G_DEPTH and self.length("G depth", n) == 0:
+            got, route = 0, "although I_n = J I_(n-1)"
+        elif n >= 1 and (twin := _K_TWINS.get((self._k_shift, name))):
+            got, route = self.length(twin, n + self._k_shift), "as its G twin at n + s"
+        elif name in _TABLE and self.table_route:
+            before, here = _TABLE[name](self, n)
+            got = self.J.colength() + before.colength() - here.colength()
+            route = "off the Hilbert table"
+        else:
+            return quotient_length(*_LEDGER[name](self, n))
         if got < 0 or ideals.CROSS_CHECK and got != quotient_length(*_LEDGER[name](self, n)):
             raise InternalInconsistencyError(
-                f"{name!r} at n = {n} reads {got} off the Hilbert table: "
+                f"{name!r} at n = {n} reads {got} {route}: "
                 "negative, or not its quotient length"
             )
         return got

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import logging
 from enum import Enum
 from typing import NamedTuple
 
@@ -23,6 +24,8 @@ from .errors import (
     TheoremViolationError,
 )
 from .filtration import FiltrationSpec
+
+_log = logging.getLogger(__name__)
 
 
 class ReductionData(NamedTuple):
@@ -48,8 +51,16 @@ def reduction_number(spec: FiltrationSpec, j=None) -> ReductionData:
     product. For a reduction the search stops: past I_N one step
     J I_m = I_{m+1} pushes forward (J I_{m+1} = J I_1 I_m = I_1 (J I_m) =
     I_{m+2}), and J I_1^s = I_1^{s+1} gives the step at m = N + s.
+
+    So I_{n+1} = J I_n for every n >= r, and the spec reuses it: for its
+    own J, when J is minimal, r is recorded on the spec
+    (`FiltrationSpec.record_reduction_number`), which from then on builds
+    I_{n+1} as the J-term J I_n, one product by d generators, and K J I_n
+    as K I_{n+1}. Nothing is recorded for another candidate. Each step
+    tried and the certified r are logged at DEBUG.
     """
-    if j is None:
+    own = j is None
+    if own:
         j, jterm = spec.require_j(), spec.jterm
     else:
         jterm = functools.cache(lambda n: spec.term(n) * j)
@@ -59,14 +70,19 @@ def reduction_number(spec: FiltrationSpec, j=None) -> ReductionData:
     for r in itertools.count():
         # J I_n and I_n are cached on the spec, so a repeated step is one ==
         last = max(r, explicit)
+        _log.debug("reduction search: J I_n = I_(n+1) for n = %d..%d?", r, last)
         if all(jterm(n) == spec.term(n + 1) for n in range(r, last + 1)):
             mu = len(j.minimal_generators())
-            return ReductionData(
+            data = ReductionData(
                 r=r,
                 mu=mu,
                 is_minimal=(mu == spec.dim),
                 checked_through=last,
             )
+            _log.debug("reduction number r = %d certified, checked through n = %d", r, last)
+            if own and data.is_minimal:
+                spec.record_reduction_number(r)
+            return data
 
 
 class SequenceCheck(NamedTuple):

@@ -17,6 +17,7 @@ from fibrekit import (
     UndeterminedSumError,
     analyze,
     build_table,
+    fit_tables,
     load_spec,
     quotient_length,
     reduction_number,
@@ -24,6 +25,7 @@ from fibrekit import (
 )
 from conftest import (
     colength_cross_check,
+    corpus_candidates,
     fixture_text,
     make_sg_spec,
     make_x3_spec,
@@ -324,9 +326,14 @@ class TestLengthLedger:
     def test_analyze_builds_no_term_past_the_certificate(self, spec):
         report = analyze(spec)
         reduction = report.reduction
-        assert max(spec._terms) <= max(report.table.n_max, reduction.r + 1)
-        # J I_n is built only where reduction_number compares it with I_(n+1)
-        assert max(spec._jterms) <= reduction.checked_through
+        bound = max(report.table.n_max, reduction.r + 1)
+        assert max(spec._terms) <= bound
+        # past r each term is the J-term before it, one object in both caches
+        assert max(spec._jterms) <= bound - 1
+        built = [n for n in spec._terms if n > max(reduction.r + 1, len(spec.explicit))]
+        # in d = 1 the table stops at r + 1
+        assert built or spec.dim == 1
+        assert all(spec.term(n) is spec.jterm(n - 1) for n in built)
 
 
 IMPLIED = ("K lower", "K upper", "K cm", "G cm")
@@ -594,6 +601,191 @@ class TestSharedTerms:
         assert spec._kj == spec.K * spec.J
 
 
+def fresh_corpus_specs(kind):
+    """Unanalyzed specs of one test corpus: plane (K = m and K = R), space
+    or semigroup. Under ideals.CROSS_CHECK every colength runs every route,
+    which takes 2-4 s per plane corpus input with r >= 2 (all have
+    J = (x^a, y^b) with a b >= 9) and 20 s on the x^3 space input, so those
+    are left out; the plane inputs kept have r = 1, and the x^3 plane
+    example with K = R adds r = 2."""
+    if kind == "plane":
+        ring = plane()
+        for a, b, gens, admitted in corpus_candidates():
+            if admitted and a * b <= 8:
+                j = ring.ideal([(a, 0), (0, b)])
+                yield FiltrationSpec(ring.ideal(gens), J=j)
+                yield FiltrationSpec(ring.ideal(gens), K=ring.unit_ideal(), J=j)
+        yield make_x3_spec(k=ring.unit_ideal())
+    elif kind == "space":
+        yield from (space_corpus_spec(gens) for gens in SPACE_CORPUS if gens[0][0] < 3)
+    else:
+        yield from semigroup_corpus_specs()
+
+
+def x3_truncated(k=None, n_terms=4):
+    """The x3 filtration with its first n_terms powers given explicitly."""
+    spec = make_x3_spec(k=k)
+    terms = [spec.I]
+    while len(terms) < n_terms:
+        terms.append(terms[-1] * spec.I)
+    return FiltrationSpec(spec.I, K=spec.K, J=spec.J, truncated_terms=terms)
+
+
+class TestJStep:
+    """Past the reduction number r, reduction_number has proved
+    I_(n+1) = J I_n: the spec builds I_(n+1) as the J-term and K J I_n as
+    K I_(n+1), and when K = I_1^s the K entries read their G twins."""
+
+    @pytest.mark.parametrize("kind", ["plane", "space", "semigroup"])
+    def test_cross_check_passes_on_the_corpora(self, kind):
+        shifts = set()
+        with colength_cross_check():
+            for spec in fresh_corpus_specs(kind):
+                report = analyze(spec)
+                assert spec._r == report.reduction.r
+                shifts.add(spec._k_shift)
+        # plane: K = m and K = R; space: K = m; semigroup: I = K = m
+        assert shifts == {"plane": {None, 0}, "space": {None}, "semigroup": {1}}[kind]
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            # four explicit terms, r = 2: the J-step starts inside them
+            lambda: x3_truncated(),
+            # K = I_1 in truncated mode: no shift, so no twins
+            lambda: x3_truncated(k=make_x3_spec().I, n_terms=2),
+        ],
+        ids=["explicit-past-r", "truncated-k-is-i"],
+    )
+    def test_cross_check_passes_on_truncated_specs(self, make):
+        spec = make()
+        assert spec._k_shift is None
+        with colength_cross_check():
+            report = analyze(spec)
+        assert spec._r == report.reduction.r == 2
+        plain = make()
+        assert render_tree(analyze(plain)) == render_tree(report)
+        # validation built I_n up to 2 N; the next term is the J-term
+        n = max(plain._terms) + 1
+        assert plain.term(n) is plain.jterm(n - 1)
+
+    def test_a_j_that_is_not_minimal_records_nothing(self):
+        # J = I_1 has three generators in d = 2, so fit_tables takes the
+        # pure powers (x^3, y^3), which are never recorded either
+        minimal = make_x3_spec()
+        spec = FiltrationSpec(minimal.I, J=minimal.I)
+        with colength_cross_check():
+            table, coefficients = fit_tables(spec, None)
+        assert spec._r is None
+        assert (table, coefficients) == fit_tables(minimal, None)
+        assert minimal._r == 2
+        with pytest.raises(InputError):
+            analyze(spec)
+
+    def test_terms_past_r_are_the_j_terms(self):
+        spec = make_x3_spec()
+        assert reduction_number(spec).r == 2
+        terms = [spec.term(n) for n in range(4, 8)]
+        assert all(spec.jterm(n - 1) is t for n, t in zip(range(4, 8), terms))
+        fresh = make_x3_spec()
+        assert terms == [fresh.term(n) for n in range(4, 8)]
+
+    def test_k_j_terms_past_r_are_the_next_k_terms(self):
+        spec = make_x3_spec()
+        reduction_number(spec)
+        kjterms = [spec.kjterm(n) for n in range(2, 6)]
+        assert all(spec.kterm(n + 1) is k for n, k in enumerate(kjterms, 2))
+        assert spec._kj is None and not spec._kjterms
+        fresh = make_x3_spec()
+        assert kjterms == [fresh.kjterm(n) for n in range(2, 6)]
+        # below r K J I_n is its own product
+        assert spec.kjterm(1) is not spec.kterm(2)
+        assert spec._kj == spec.K * spec.J
+
+    def test_r_zero_with_k_maximal_never_builds_k_times_j(self):
+        ring = plane()
+        i = ring.ideal([(2, 0), (0, 2)])
+        spec = FiltrationSpec(i, J=i)
+        assert analyze(spec).reduction.r == 0
+        assert spec._kj is None and not spec._kjterms
+
+    @pytest.mark.parametrize("make", [make_x3_spec, make_sg_spec])
+    def test_a_recorded_step_below_r_is_caught(self, make):
+        spec = make()
+        true_r = reduction_number(make()).r
+        spec.record_reduction_number(true_r - 1)
+        with colength_cross_check():
+            with pytest.raises(InternalInconsistencyError):
+                spec.term(true_r)
+        spec = make()
+        spec.record_reduction_number(true_r - 1)
+        with colength_cross_check():
+            with pytest.raises(InternalInconsistencyError):
+                analyze(spec)
+
+    def test_a_recorded_step_below_r_is_caught_in_k_j_terms(self):
+        # r = 2, and K J differs from K I_1
+        spec = make_x3_spec()
+        spec.record_reduction_number(0)
+        with colength_cross_check():
+            with pytest.raises(InternalInconsistencyError):
+                spec.kjterm(0)
+
+    def test_other_candidates_are_never_recorded(self):
+        spec = make_x3_spec()
+        pure = spec.ring.ideal([(3, 0), (0, 3)])
+        assert reduction_number(spec, pure).r == 2
+        assert spec._r is None
+
+    @pytest.mark.parametrize(
+        "make, twins",
+        [
+            (
+                lambda: make_x3_spec(k=plane().unit_ideal()),
+                {"K upper": ("G depth", 0), "K cm": ("G depth", 0), "K lower": ("G cm", 0)},
+            ),
+            (
+                lambda: semigroup_m_spec(5, 7),
+                {"K upper": ("G depth", 1), "K lower": ("G cm", 1)},
+            ),
+            (
+                lambda: FiltrationSpec(plane_m(), K=plane_m(), J=plane().ideal([(1, 0), (0, 1)])),
+                {"K upper": ("G depth", 1), "K lower": ("G cm", 1)},
+            ),
+        ],
+        ids=["unit-k", "semigroup-k-is-i", "plane-k-is-i"],
+    )
+    def test_k_entries_read_their_g_twins(self, monkeypatch, make, twins):
+        spec = make()
+        computed, _ = count_ledger(monkeypatch)
+        for n in range(1, 6):
+            for name, (twin, s) in twins.items():
+                assert spec.length(name, n) == spec.length(twin, n + s)
+                assert spec.length(name, n) == direct_entry(spec, name, n)
+        assert not [c for c in computed if c[0] in twins]
+        with colength_cross_check():
+            checked = make()
+            for n in range(1, 6):
+                for name in ("K lower", "K upper", "K cm"):
+                    assert checked.length(name, n) == direct_entry(checked, name, n)
+
+    def test_k_cm_with_k_is_i_keeps_its_own_quotient(self, monkeypatch):
+        spec = semigroup_m_spec(5, 7)
+        computed, _ = count_ledger(monkeypatch)
+        assert spec.length("K cm", 1) == direct_entry(spec, "K cm", 1)
+        assert ("K cm", 1) in computed
+
+    def test_cross_check_catches_a_wrong_twin(self, monkeypatch):
+        # K lower with K = R is "G cm", 0 at n = 2, not "G depth", 1 there
+        monkeypatch.setitem(fibrekit.filtration._K_TWINS, (0, "K lower"), "G depth")
+        make = lambda: make_x3_spec(k=plane().unit_ideal())
+        assert make().length("K lower", 2) == 1
+        assert make().length("G cm", 2) == 0
+        with colength_cross_check():
+            with pytest.raises(InternalInconsistencyError):
+                make().length("K lower", 2)
+
+
 class TestLedgerLogging:
     def test_length_sum_logs_one_debug_line(self, caplog):
         caplog.set_level(logging.DEBUG, logger="fibrekit.filtration")
@@ -609,11 +801,26 @@ class TestLedgerLogging:
             "length sum 'G depth' over n = 1..2 is 7; G depth is 0 at n = 3..3",
         ]
 
+    def test_search_j_step_and_twins_log_debug_lines(self, caplog):
+        caplog.set_level(logging.DEBUG, logger="fibrekit")
+        spec = make_x3_spec(k=plane().unit_ideal())
+        reduction_number(spec)
+        assert [(r.name, r.getMessage()) for r in caplog.records] == [
+            ("fibrekit.filtration", "K = I_1^0: the K entries of the ledger read their G twins"),
+            ("fibrekit.reductions", "reduction search: J I_n = I_(n+1) for n = 0..1?"),
+            ("fibrekit.reductions", "reduction search: J I_n = I_(n+1) for n = 1..1?"),
+            ("fibrekit.reductions", "reduction search: J I_n = I_(n+1) for n = 2..2?"),
+            ("fibrekit.reductions", "reduction number r = 2 certified, checked through n = 2"),
+            ("fibrekit.filtration", "J-step from n = 3: I_n is built as J I_(n-1)"),
+        ]
+        assert {r.levelno for r in caplog.records} == {logging.DEBUG}
+
     def test_logging_leaves_the_report_as_it_is(self, caplog):
         quiet = render_tree(analyze(make_x3_spec()))
         assert caplog.records == []
-        caplog.set_level(logging.DEBUG, logger="fibrekit.filtration")
+        caplog.set_level(logging.DEBUG, logger="fibrekit")
         assert render_tree(analyze(make_x3_spec())) == quiet
+        assert {r.name for r in caplog.records} == {"fibrekit.filtration", "fibrekit.reductions"}
         assert caplog.records
 
 
