@@ -1,6 +1,11 @@
 """Rendering of analysis results: aligned text for terminals, a JSON tree
 for machines. The tree layout is documented in docs/report-schema.md and is
 stable: tests round-trip it.
+
+as_dict flattens a report to plain data and is the reference for the tree:
+render_tree writes the same layout as text, one f-string template per
+section, and must stay byte-identical to `json.dumps(as_dict(report),
+indent=2)`, which the oracle tests check.
 """
 
 from __future__ import annotations
@@ -117,57 +122,211 @@ def as_dict(report: AnalysisReport) -> dict:
     return out
 
 
+# slot types, matched exactly: a bool is not an int here
+_INT = frozenset((int,))
+_OPT_INT = frozenset((int, type(None)))
+_BOOL = frozenset((bool,))
+
+_JSON_BOOL = {True: "true", False: "false"}
+
+# the indentation of a line one, two and three levels into the tree
+_IN1 = "  "
+_IN2 = "    "
+_IN3 = "      "
+
+# a str slot; raises TypeError on anything but a str
+_str = encode_basestring_ascii
+
+
 def render_tree(report: AnalysisReport) -> str:
     """The report as JSON text, byte-identical to
-    `json.dumps(as_dict(report), indent=2)`, without a trailing newline."""
-    out = []
-    _emit(as_dict(report), out, "\n")
+    `json.dumps(as_dict(report), indent=2)`, without a trailing newline.
+
+    The layout of docs/report-schema.md is written straight from the report's
+    fields, one f-string template per section, with no intermediate dict;
+    as_dict is the reference it must match, and the oracle tests hold it to
+    that. Each slot takes exactly the type as_dict puts there: an int slot
+    an int (a bool, float or tuple there is a TypeError), a str slot a str,
+    a bool slot a bool, and null only where the field is optional."""
+    red = report.reduction
+    table = report.table
+    c = report.coefficients
+    series = report.series
+    gd = report.graded_depth
+    mm = report.minimal_multiplicity
+    _require(
+        (
+            report.dim, red.r, red.mu, red.checked_through, table.n_max,
+            c.e.postulation, c.g.postulation, c.f.postulation,
+            series.pole_order, gd.e1, gd.cm_sum, gd.depth_sum,
+        ),
+        _INT,
+    )
+    _require((red.is_minimal, series.has_negative, *mm), _BOOL)
+    _require((c.certified_from,), _OPT_INT)
+    out = [
+        f"""{{
+  "input": {_input(report.spec)},
+  "dimension": {report.dim},
+  "reduction": {{
+    "r": {red.r},
+    "mu": {red.mu},
+    "is_minimal": {_JSON_BOOL[red.is_minimal]},
+    "checked_through": {red.checked_through}
+  }},
+  "table": {{
+    "n_max": {table.n_max},
+    "H": {_ints(table.h, _IN2)},
+    "H_K": {_ints(table.hk, _IN2)},
+    "H_F": {_ints(table.hf, _IN2)}
+  }},
+  "coefficients": {{
+    "e": {_ints(c.e.coefficients, _IN2)},
+    "g": {_ints(c.g.coefficients, _IN2)},
+    "f": {_ints(c.f.coefficients, _IN2)},
+    "postulation": {{
+      "e": {c.e.postulation},
+      "g": {c.g.postulation},
+      "f": {c.f.postulation}
+    }},
+    "certified_from": {"null" if c.certified_from is None else c.certified_from}
+  }},
+  "series": {{
+    "numerator": {_ints(series.numerator, _IN2)},
+    "pole_order": {series.pole_order},
+    "has_negative_coefficient": {_JSON_BOOL[series.has_negative]}
+  }},
+  "graded_depth": {{
+    "classification": {_str(gd.classification.name)},
+    "e1": {gd.e1},
+    "cm_sum": {gd.cm_sum},
+    "depth_sum": {gd.depth_sum}
+  }},
+  "minimal_multiplicity": {{
+    "relative": {_JSON_BOOL[mm.relative]},
+    "g1_relative": {_JSON_BOOL[mm.g1_relative]},
+    "classic": {_JSON_BOOL[mm.classic]},
+    "g1_classic": {_JSON_BOOL[mm.g1_classic]}
+  }},
+  "criteria": {_list([_criterion(cr) for cr in report.criteria], _IN1)}"""
+    ]
+    add = out.append
+    v = report.v
+    if v is not None:
+        _require((v.g1, v.g2), _INT)
+        add(
+            f""",
+  "v_sequence": {{
+    "values": {_ints(v.values, _IN2)},
+    "g1": {v.g1},
+    "g2": {v.g2}
+  }}"""
+        )
+    if report.lemma_rows:
+        rows = [_lemma_row(row) for row in report.lemma_rows]
+        add(f""",
+  "fundamental_lemma": {_list(rows, _IN1)}""")
+    eq = report.equivalences
+    if eq is not None:
+        _require(eq, _BOOL)
+        add(
+            f""",
+  "equivalences": {{
+    "graded_cm": {_JSON_BOOL[eq.graded_cm]},
+    "fiber_cm_and_r_le_1": {_JSON_BOOL[eq.fiber_cm_and_r_le_1]},
+    "r_le_1": {_JSON_BOOL[eq.r_le_1]}
+  }}"""
+        )
+    if report.g1_onedim_value is not None:
+        _require((report.g1_onedim_value,), _INT)
+        add(f""",
+  "g1_onedim": {report.g1_onedim_value}""")
+    add("\n}")
     return "".join(out)
 
 
-def _emit(value, out: list, newline: str) -> None:
-    """Append the indent-2 JSON text of value to out; newline is a line break
-    followed by the indentation of value's own line.
-
-    Exactly the types as_dict produces are accepted: int, str, list, dict
-    with str keys, bool and None. Anything else, a float or a tuple included,
-    is a TypeError, so no value can render differently from json.dumps."""
-    cls = type(value)
-    if cls is int:
-        out.append(int.__repr__(value))
-    elif cls is str:
-        out.append(encode_basestring_ascii(value))
-    elif cls is list:
-        if not value:
-            out.append("[]")
-            return
-        inner = newline + "  "
-        sep = "[" + inner
-        for item in value:
-            out.append(sep)
-            _emit(item, out, inner)
-            sep = "," + inner
-        out.append(newline + "]")
-    elif cls is dict:
-        if not value:
-            out.append("{}")
-            return
-        inner = newline + "  "
-        sep = "{" + inner
-        for key, item in value.items():
-            # encode_basestring_ascii raises TypeError on a key that is not a str
-            out.append(sep + encode_basestring_ascii(key) + ": ")
-            _emit(item, out, inner)
-            sep = "," + inner
-        out.append(newline + "}")
-    elif value is None:
-        out.append("null")
-    elif value is True:
-        out.append("true")
-    elif value is False:
-        out.append("false")
+def _input(spec: FiltrationSpec) -> str:
+    """The `input` object, laid out as spec_as_dict builds it."""
+    ring = spec.ring
+    if isinstance(ring, PowerSeriesRing):
+        ring_text = f"""{{
+      "model": "powerseries",
+      "variables": {_list(list(map(_str, ring.variables)), _IN3)}
+    }}"""
     else:
-        raise TypeError(f"cannot render a {cls.__name__} in a report")
+        ring_text = f"""{{
+      "model": "semigroup",
+      "generators": {_ints(ring.generators, _IN3)}
+    }}"""
+    k_text = '"maximal"' if spec.k_is_maximal else _generators(spec.K, _IN2)
+    j_text = _generators(spec.J, _IN2) if spec.J is not None else "null"
+    text = f"""{{
+    "ring": {ring_text},
+    "I": {_generators(spec.I, _IN2)},
+    "K": {k_text},
+    "mode": {_str(spec.mode)},
+    "J": {j_text}"""
+    if spec.mode == "truncated":
+        terms = [_generators(t, _IN3) for t in spec.explicit]
+        text += f""",
+    "terms": {_list(terms, _IN2)}"""
+    return text + "\n  }"
+
+
+def _criterion(cr) -> str:
+    name, status, lhs, rhs, note, bound = cr
+    _require((lhs, rhs, bound), _OPT_INT)
+    return f"""{{
+      "name": {_str(name)},
+      "status": {_str(status.value)},
+      "lhs": {"null" if lhs is None else lhs},
+      "rhs": {"null" if rhs is None else rhs},
+      "note": {_str(note)},
+      "bound": {"null" if bound is None else bound}
+    }}"""
+
+
+def _lemma_row(row) -> str:
+    _require(row, _INT)
+    n, lhs, rhs = row
+    return f"""{{
+      "n": {n},
+      "lhs": {lhs},
+      "rhs": {rhs}
+    }}"""
+
+
+def _require(values, types: frozenset) -> None:
+    """Raise TypeError unless the exact type of every value is in types."""
+    if not types.issuperset(map(type, values)):
+        bad = next(value for value in values if type(value) not in types)
+        raise TypeError(f"cannot render a {type(bad).__name__} in this slot of a report")
+
+
+def _list(texts: list, indent: str) -> str:
+    """A list opened on a line indented by indent, from its rendered items."""
+    if not texts:
+        return "[]"
+    inner = indent + "  "
+    return "[\n" + inner + (",\n" + inner).join(texts) + "\n" + indent + "]"
+
+
+def _ints(values, indent: str) -> str:
+    """A list of ints opened on a line indented by indent."""
+    if not values:
+        return "[]"
+    # int.__repr__ alone would pass a bool as "1" or "0"
+    _require(values, _INT)
+    inner = indent + "  "
+    return "[\n" + inner + (",\n" + inner).join(map(int.__repr__, values)) + "\n" + indent + "]"
+
+
+def _generators(ideal, indent: str) -> str:
+    """The minimal generators of ideal, listed as spec_as_dict lists them."""
+    gens = ideal.minimal_generators()
+    if isinstance(ideal.ring, PowerSeriesRing):
+        return _list([_ints(g, indent + "  ") for g in gens], indent)
+    return _ints(gens, indent)
 
 
 def _coeff_tuple(values) -> str:

@@ -9,7 +9,9 @@ they are. The d = 3 input makes the colength hook read the generator cap.
 
 The benchmark also checks every analysis against its committed results in
 `bench/reference/`; the last test runs that check on every input of every
-workload, so a change that alters a checked result fails here first.
+workload, so a change that alters a checked result fails here first, and
+holds render_tree byte-identical to json.dumps(as_dict(report), indent=2)
+on each of them.
 """
 
 import json
@@ -76,6 +78,9 @@ def test_every_workload_input_matches_its_reference(bench_modules):
         # the reference holds each distinct input of the workload, no more
         assert {inp.text for inp in inputs} == set(reference)
         for inp in inputs:
-            spec = fibrekit.load_spec(inp.text)[1]
-            tree = json.loads(fibrekit.render_tree(fibrekit.analyze(spec)))
+            report = fibrekit.analyze(fibrekit.load_spec(inp.text)[1])
+            text = fibrekit.render_tree(report)
+            # the byte oracle of tests/test_reporting.py, on every benchmark input
+            assert text == json.dumps(fibrekit.as_dict(report), indent=2), (name, inp.text)
+            tree = json.loads(text)
             assert run.check(inp, tree, reference[inp.text]) == [], (name, inp.text)

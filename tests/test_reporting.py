@@ -7,7 +7,7 @@ import pytest
 
 from fibrekit import FiltrationSpec, PowerSeriesRing, analyze, load_spec
 from fibrekit.cli import _SELFTEST_FIXTURES
-from fibrekit.reporting import _emit, as_dict, render_text, render_tree, spec_as_dict
+from fibrekit.reporting import as_dict, render_text, render_tree, spec_as_dict
 from conftest import fixture_text, make_sg_spec, make_x3_spec, plane_ring
 from test_certified_tail import semigroup_corpus_specs
 from test_space_corpus import SPACE_CORPUS, space_corpus_spec
@@ -276,19 +276,15 @@ class TestGoldenReports:
         assert always <= keys, always - keys
 
 
-def emit(value) -> str:
-    out = []
-    _emit(value, out, "\n")
-    return "".join(out)
-
-
 def oracle(value) -> str:
     return json.dumps(value, indent=2)
 
 
 class TestRenderTreeAgainstJson:
-    """render_tree's emitter against json.dumps(..., indent=2) as an oracle:
-    the report must stay byte-identical to it."""
+    """render_tree's section templates against json.dumps(as_dict(report),
+    indent=2) as an oracle: the report must stay byte-identical to it, in
+    every conditional section and in the input of a truncated spec, and a
+    value of the wrong type in any slot must raise, not render."""
 
     def test_fixture_reports(self, x3_report, x4_report, sg_report):
         for report in (x3_report, x4_report, sg_report):
@@ -317,23 +313,62 @@ class TestRenderTreeAgainstJson:
         assert tree == oracle(as_dict(report))
         assert tree.isascii() and '"\\u03b1"' in tree
 
-    def test_hand_built_tree(self):
-        tree = {
-            "empty_list": [],
-            "empty_dict": {},
-            "nested": [[], [[1, [2]], {}], [{"k": []}]],
-            "strings": ['say "hi"', "back\\slash", "tab\tnew\nline\x00\x1f", "", "é☃𝄞"],
-            "ints": [0, -1, -(2**70), 2**64, 2**64 + 1, 10**40],
-            "flags": [True, False, None],
-            "quoted \"key\"\n": {"": None},
-        }
-        assert emit(tree) == oracle(tree)
-        for scalar in ([], {}, "", 'a"b', -7, 2**65, True, False, None):
-            assert emit(scalar) == oracle(scalar)
+    def test_truncated_report(self):
+        ring = plane_ring()
+        i = ring.ideal([(2, 0), (0, 2)])
+        m4 = ring.maximal_ideal() ** 4
+        report = analyze(FiltrationSpec(i, J=i, truncated_terms=(i, m4)))
+        tree = render_tree(report)
+        assert tree == oracle(as_dict(report))
+        assert '"terms": [' in tree
+
+    @pytest.mark.parametrize("make_spec", [make_x3_spec, make_sg_spec], ids=["plane", "semigroup"])
+    def test_k_is_i1_given_as_generators(self, make_spec):
+        i1 = make_spec().I
+        report = analyze(make_spec(k=i1.ring.ideal(i1.minimal_generators())))
+        assert not report.spec.k_is_maximal
+        assert render_tree(report) == oracle(as_dict(report))
 
     @pytest.mark.parametrize(
-        "value", [1.0, {1, 2}, object(), (1, 2), [0, 0.5], {"x": {3}}, {1: 2}]
+        "value", [1.0, {1, 2}, object(), (1, 2), [0, 0.5], {"x": {3}}, {1: 2}, True]
     )
-    def test_other_types_raise(self, value):
+    def test_other_types_raise(self, x3_report, value):
+        for slot in ("table.h", "criterion.lhs"):
+            with pytest.raises(TypeError):
+                render_tree(_replace_slot(x3_report, slot, value))
+
+    @pytest.mark.parametrize(
+        "slot, value",
+        [
+            ("reduction.r", True),
+            ("lemma_row.rhs", False),
+            ("criterion.bound", 2.0),
+            ("criterion.note", 5),
+            ("minimal_multiplicity.relative", 0),
+        ],
+    )
+    def test_wrong_type_in_any_slot_raises(self, x3_report, slot, value):
         with pytest.raises(TypeError):
-            emit(value)
+            render_tree(_replace_slot(x3_report, slot, value))
+
+    def test_empty_lists(self, x3_report):
+        report = x3_report._replace(
+            criteria=(), series=x3_report.series._replace(numerator=())
+        )
+        tree = render_tree(report)
+        assert tree == oracle(as_dict(report))
+        assert '"criteria": []' in tree and '"numerator": []' in tree
+
+
+def _replace_slot(report, slot: str, value):
+    """report with one field of the tree replaced by value."""
+    if slot == "table.h":
+        return report._replace(table=report.table._replace(h=(value, *report.table.h[1:])))
+    if slot.startswith("criterion."):
+        first = report.criteria[0]._replace(**{slot.split(".")[1]: value})
+        return report._replace(criteria=(first, *report.criteria[1:]))
+    if slot == "lemma_row.rhs":
+        first = report.lemma_rows[0]._replace(rhs=value)
+        return report._replace(lemma_rows=(first, *report.lemma_rows[1:]))
+    section, field = slot.split(".")
+    return report._replace(**{section: getattr(report, section)._replace(**{field: value})})
