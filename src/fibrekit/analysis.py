@@ -12,9 +12,15 @@ Conventions, fixed once for the whole package (d = ring dimension):
 Linking identities, asserted whenever all three fits are computed:
 g_0 = e_0 and g_i = e_i - f_{i-1} for 1 <= i <= d.
 
-All arithmetic is exact and in integers: a fit reads the polynomial through
-the last d+1 (or d) table points off their backward differences by Newton's
-formula (Bruns-Herzog, Cohen-Macaulay Rings, 4.1), which never divides.
+All arithmetic is exact and in integers, and no fit computes a binomial.
+A fit of degree deg (d, or d-1 for F) builds the difference columns of its
+table in one pass, deg+1 deep, and finds the postulation on the last one.
+It reads the polynomial P through the last deg+1 points off their backward
+differences at n_max, the diagonal nabla^k P(n_max), by Newton's backward
+formula (Bruns-Herzog, Cohen-Macaulay Rings, 4.1). The basis entry
+C(n + deg - 1 - i, deg - i) is Newton's C(n + k - 1, k) with k = deg - i,
+so c_i = (-1)^i nabla^(deg-i) P(0): the coefficients are that diagonal
+walked back from n_max to n = 0, by additions.
 """
 
 from __future__ import annotations
@@ -80,28 +86,45 @@ class CoefficientSet(NamedTuple):
     certified_from: int | None = None
 
     def value(self, n: int) -> int:
-        row = basis_row(self.dim, self.basis, n)
-        return sum(c * r for c, r in zip(self.coefficients, row))
+        # sum_i (-1)^i c_i C(n + deg - 1 - i, deg - i), summed from i = deg
+        # down: with k = deg - i the basis entry is C(n + k - 1, k), the
+        # previous one times (n + k - 1) / k, and S <- c_i C - S puts the
+        # sign (-1)^i on every term
+        total = 0
+        entry = 1
+        for k, c in enumerate(reversed(self.coefficients)):
+            if k:
+                entry = entry * (n + k - 1) // k
+            total = c * entry - total
+        return total
 
     def __str__(self):
         return f"{self.label} = {self.coefficients} (exact from n = {self.postulation})"
 
 
 def _newton_coefficients(tail: Sequence[int], n_max: int) -> tuple:
-    """Coefficients of the polynomial through tail = values[n_max-deg..n_max].
+    """Coefficients of the polynomial P through tail = values[n_max-deg..n_max].
 
-    With nabla[k] the k-th backward difference at n_max, Newton's backward
-    formula read at n = 0 gives c_j = (-1)^j sum_{l<=j} (-1)^l C(n_max, l) nabla[deg-j+l].
+    Differencing the tail in place leaves its diagonal, nabla^k P(n_max)
+    for k = 0..deg. In the basis C(n + deg - 1 - i, deg - i) is Newton's
+    C(n + k - 1, k) with k = deg - i, so c_i = (-1)^i nabla^(deg-i) P(0)
+    and no binomial is needed: with u_i = (-1)^i nabla^(deg-i) P, the step
+    nabla^k P(n - 1) = nabla^k P(n) - nabla^(k+1) P(n) reads
+    u_i(n - 1) = u_i(n) + u_(i-1)(n), so walking the diagonal back from
+    n_max to 0 takes n_max * deg additions (u_0 is constant).
     """
-    nabla = []
-    while tail:
-        nabla.append(tail[-1])
-        tail = [b - a for a, b in zip(tail, tail[1:])]
-    deg = len(nabla) - 1
-    return tuple(
-        (-1) ** j * sum((-1) ** l * math.comb(n_max, l) * nabla[deg - j + l] for l in range(j + 1))
-        for j in range(deg + 1)
-    )
+    u = list(tail)
+    deg = len(u) - 1
+    for k in range(deg, 0, -1):
+        for i in range(k):
+            u[i] = u[i + 1] - u[i]
+    # u[i] = nabla^(deg-i) P(n_max); sign it, then walk back to n = 0
+    for i in range(1, deg + 1, 2):
+        u[i] = -u[i]
+    for _ in range(n_max):
+        for i in range(deg, 0, -1):
+            u[i] += u[i - 1]
+    return tuple(u)
 
 
 def fit_coefficients(
@@ -115,11 +138,13 @@ def fit_coefficients(
     """Read the alternating binomial polynomial off values[0..n_max] exactly.
 
     The polynomial of degree deg = d (STANDARD) or d-1 (FIBER) through the
-    last deg+1 points is read off in integers (`_newton_coefficients`) and
+    last deg+1 points is read off in integers (`_newton_coefficients`: the
+    diagonal of backward differences at n_max, walked back to n = 0) and
     checked against the table at n_max-deg and n_max. The postulation index
     n0 = least n from which it reproduces the sequence through n_max is
-    found walking down: n0-1 matches too iff the (deg+1)-th difference of the
-    sequence over n0-1..n0+deg is 0.
+    found walking down the (deg+1)-th difference column of the table, built
+    in one pass of deg+1 differencings: n0-1 matches too iff the (deg+1)-th
+    difference of the sequence over n0-1..n0+deg is 0.
 
     With certified_from = N (the sequence is known to be polynomial from N
     on), the fit is a proof once n_max >= N + deg; a shorter table is
@@ -147,9 +172,12 @@ def fit_coefficients(
                 f"need at least {ncoef + window} table values for a validated "
                 f"{kind} fit, got {n_max + 1}; raise n_max"
             )
-    weights = [(-1) ** i * math.comb(ncoef, i) for i in range(ncoef + 1)]
+    # column[j] = (deg+1)-th difference of values over j..j+deg+1
+    column = values
+    for _ in range(ncoef):
+        column = list(map(operator.sub, column[1:], column[:-1]))
     n0 = n_max - deg
-    while n0 > 0 and not sum(map(operator.mul, weights, values[n0 - 1:n0 + ncoef])):
+    while n0 > 0 and not column[n0 - 1]:
         n0 -= 1
     fitted = CoefficientSet(
         label=label, dim=dim, basis=basis, postulation=n0, n_max=n_max, window=window,
@@ -338,31 +366,39 @@ class HilbertSeries(NamedTuple):
 
 def fiber_hilbert_series(table: HilbertTable, dim: int, fit: CoefficientSet) -> HilbertSeries:
     """Numerator of sum_n H_F(n) t^n times (1-t)^dim, with termination and
-    regeneration verified against the table and the fit."""
+    regeneration verified against the table and the fit.
 
-    # h_j is the dim-th backward difference of H_F at j (H_F = 0 below 0)
+    h_j is the dim-th backward difference of H_F at j (H_F = 0 below 0),
+    taken by dim difference passes in place over H_F(0..top + dim + 2),
+    top = fit.postulation + dim. The termination check reads h_j for
+    top < j <= top + dim + 2, so H_F is extended past the table with the
+    fit's values only through n = top + dim + 2, and not at all when the
+    table reaches that far.
+    """
     top = fit.postulation + dim
-    coeffs = [
-        table.hf[n] if n <= table.n_max else fit.value(n) for n in range(top + dim + 3)
-    ]
+    stop = top + dim + 3
+    coeffs = list(table.hf[:stop])
+    coeffs += map(fit.value, range(len(coeffs), stop))
     for _ in range(dim):
         coeffs[1:] = map(operator.sub, coeffs[1:], coeffs[:-1])
-    for j in range(top + 1, len(coeffs)):
-        if coeffs[j] != 0:
-            raise InternalInconsistencyError(
-                f"fiber series numerator does not terminate: h_{j} = {coeffs[j]}"
-            )
+    if any(coeffs[top + 1:]):
+        j = next(j for j in range(top + 1, stop) if coeffs[j])
+        raise InternalInconsistencyError(
+            f"fiber series numerator does not terminate: h_{j} = {coeffs[j]}"
+        )
+    del coeffs[top + 1:]
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()
     # regenerate H_F from the numerator, dim prefix sums, as an independent check
     regen = (coeffs + [0] * (table.n_max + 1))[: table.n_max + 1]
     for _ in range(dim):
         regen = list(itertools.accumulate(regen))
-    for n, (value, expected) in enumerate(zip(regen, table.hf)):
-        if value != expected:
-            raise InternalInconsistencyError(
-                f"fiber series regeneration fails at n = {n}: {value} != {expected}"
-            )
+    if tuple(regen) != table.hf:
+        for n, (value, expected) in enumerate(zip(regen, table.hf)):
+            if value != expected:
+                raise InternalInconsistencyError(
+                    f"fiber series regeneration fails at n = {n}: {value} != {expected}"
+                )
     return HilbertSeries(
         numerator=tuple(coeffs),
         pole_order=dim,

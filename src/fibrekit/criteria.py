@@ -23,6 +23,7 @@ analyze reads it off that row as g1-length-formula, and a failure raises.
 from __future__ import annotations
 
 import itertools
+import logging
 import operator
 from contextlib import suppress
 from enum import Enum
@@ -49,6 +50,8 @@ from .reductions import (
     valabrega_valla,
 )
 from .rings import PowerSeriesRing
+
+_log = logging.getLogger(__name__)
 
 
 class CriterionStatus(Enum):
@@ -445,7 +448,9 @@ def fit_tables(
     least valuation) stand in for it if they are certified a reduction.
     Otherwise the fit is window-validated on a table through r + 2d + 5
     (r of J when J is certified a reduction, else 0), and its
-    `certified_from` is None.
+    `certified_from` is None. One DEBUG line on `fibrekit.criteria` names
+    which of the three held, with r, N, the table's n_max and whether
+    n_max was pinned.
 
     Either way the reduction is I_1's pure powers, so N reads them: a
     certified minimal monomial J is m-primary with d generators, (x_i^c_i);
@@ -454,19 +459,30 @@ def fit_tables(
     In a semigroup ring a J = (t^c) reduces I_1 iff c is its least valuation.
     """
     dim = spec.dim
+    pinned = n_max is not None
     if reduction is None and spec.J is not None:
         with suppress(NotAReductionError):
             reduction = reduction_number(spec)
+    certifier = "J"
     if reduction is None or not reduction.is_minimal:
         pure = _pure_power_reduction(spec)
         if pure is None:
-            if n_max is None:
-                n_max = (0 if reduction is None else reduction.r) + 2 * dim + 5
-            table = build_table(spec, n_max)
+            r = None if reduction is None else reduction.r
+            table = build_table(spec, n_max if pinned else (r or 0) + 2 * dim + 5)
+            _log.debug(
+                "fits window-validated, no certified minimal reduction: "
+                "r = %s, N = None, table through n = %d, n_max %s",
+                r, table.n_max, "pinned" if pinned else "= r + 2d + 5",
+            )
             return table, coefficient_report(table, dim)
         reduction = reduction_number(spec, pure)
+        certifier = "the pure powers of I_1 standing in for J"
     start = tail_start(spec, reduction.r)
-    table = build_table(spec, start + dim if n_max is None else n_max)
+    table = build_table(spec, n_max if pinned else start + dim)
+    _log.debug(
+        "fits certified by %s: r = %d, N = %d, table through n = %d, n_max %s",
+        certifier, reduction.r, start, table.n_max, "pinned" if pinned else "= N + d",
+    )
     return table, coefficient_report(table, dim, certified_from=start)
 
 

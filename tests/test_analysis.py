@@ -1,5 +1,6 @@
 """Coefficient fitting, length identities, and the fiber Hilbert series."""
 
+import math
 import random
 
 import pytest
@@ -138,6 +139,30 @@ class TestFitCoefficients:
             assert fit.postulation == n0, (dim, basis, values)
             assert (fit.n_max, fit.window, fit.dim, fit.basis) == (n_max, dim + 2, dim, basis)
         assert fitted > 300 and too_short > 30
+
+    def test_random_certified_fits_against_basis_row_oracle(self):
+        rng = random.Random(902)
+        for trial in range(600):
+            dim = rng.randint(1, 4)
+            basis = rng.choice((Basis.STANDARD, Basis.FIBER))
+            deg = dim if basis is Basis.STANDARD else dim - 1
+            coeffs = tuple(rng.randint(-60, 60) for _ in range(deg + 1))
+            # polynomial from p on, perturbed before; the fit is certified
+            # from N = p and needs the table through p + deg
+            p = rng.randint(0, 12)
+            n_max = rng.randint(p + deg, p + deg + 10)
+            values = [
+                oracle_value(coeffs, dim, basis, n) + (rng.randint(-3, 3) if n < p else 0)
+                for n in range(n_max + 1)
+            ]
+            if trial % 2:
+                values = tuple(values)
+            fit = fit_coefficients(values, dim, basis, certified_from=p, label="F")
+            assert fit.coefficients == coeffs, (dim, basis, values)
+            assert fit.postulation == oracle_postulation(coeffs, dim, basis, values)
+            assert (fit.window, fit.certified_from, fit.n_max) == (None, p, n_max)
+            with pytest.raises(NotYetPolynomialError, match=f"certified from n = {p},"):
+                fit_coefficients(values[:p + deg], dim, basis, certified_from=p)
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     @pytest.mark.parametrize("basis", [Basis.STANDARD, Basis.FIBER])
@@ -300,6 +325,61 @@ class TestHilbertSeries:
         assert series.numerator == (1, 2, 1)
         assert series.pole_order == 1
         assert not series.has_negative
+
+    @staticmethod
+    def random_h_vectors(seed, count):
+        """(d, h, H_F): h an integer h-vector with h[-1] != 0 and some
+        negative entries, H_F(n) = sum_j h_j C(n - j + d - 1, d - 1) over
+        j <= n, as a function of n."""
+        rng = random.Random(seed)
+        for _ in range(count):
+            d = rng.randint(1, 4)
+            h = [rng.randint(-4, 9) for _ in range(rng.randint(1, 7))]
+            h[-1] = h[-1] or rng.choice((-1, 1))
+
+            def hf(n, d=d, h=h):
+                return sum(h[j] * math.comb(n - j + d - 1, d - 1) for j in range(min(n + 1, len(h))))
+
+            yield d, h, hf
+
+    @staticmethod
+    def fiber_table(hf, n_max):
+        return HilbertTable(n_max=n_max, h=(), hk=(), hf=tuple(hf(n) for n in range(n_max + 1)))
+
+    def test_random_h_vectors_against_the_binomial_sum(self):
+        extended = 0
+        for d, h, hf in self.random_h_vectors(903, 300):
+            # H_F is polynomial from N = max(0, deg h - d + 1) on, and h[-1] != 0
+            # makes N the postulation, so the series reads h_j up to top = N + d
+            start = max(0, len(h) - d)
+            top = start + d
+            for n_max in (top - 1, top + 2, top + d + 2, top + d + 5):
+                table = self.fiber_table(hf, n_max)
+                fit = fit_coefficients(table.hf, d, Basis.FIBER, certified_from=start, label="F")
+                assert fit.postulation == start
+                series = fiber_hilbert_series(table, d, fit)
+                assert series.numerator == tuple(h), (d, h, n_max)
+                assert series.pole_order == d
+                assert series.has_negative == any(c < 0 for c in h)
+                extended += n_max < top + d + 2
+        assert extended == 600
+
+    def test_wrong_fiber_fit_is_an_internal_error(self):
+        # a fit extends H_F past a table through top .. top + 2, and every
+        # difference that its error leaves is one the termination check reads
+        for d, h, hf in self.random_h_vectors(904, 100):
+            start = max(0, len(h) - d)
+            top = start + d
+            for n_max in (top, top + 2):
+                table = self.fiber_table(hf, n_max)
+                fit = fit_coefficients(table.hf, d, Basis.FIBER, certified_from=start, label="F")
+                for i in range(d):
+                    for delta in (-1, 1):
+                        c = list(fit.coefficients)
+                        c[i] += delta
+                        wrong = fit._replace(coefficients=tuple(c))
+                        with pytest.raises(InternalInconsistencyError, match="does not terminate"):
+                            fiber_hilbert_series(table, d, wrong)
 
     def test_whole_ring_companion_gives_zero_series(self):
         spec = make_x3_spec(k=make_x3_spec().ring.unit_ideal())

@@ -1,6 +1,7 @@
 """Criterion evaluation: pinned values on the packaged examples, then
 mathematical soundness properties over the random corpus."""
 
+import logging
 from collections import Counter
 
 import pytest
@@ -155,6 +156,26 @@ class TestFitTables:
         for spec in specs:
             assert reduction_number(spec).is_minimal, spec
             assert _pure_power_reduction(spec) == spec.J, spec
+
+    def test_fit_tables_logs_one_debug_line(self, caplog):
+        caplog.set_level(logging.DEBUG, logger="fibrekit.criteria")
+        spec = make_x3_spec()
+        fit_tables(spec, None)
+        fit_tables(spec, 11)
+        fit_tables(FiltrationSpec(spec.I), None)
+        ring = PowerSeriesRing("x", "y")
+        fit_tables(FiltrationSpec(ring.ideal([(4, 0), (1, 1), (0, 4)])), None)
+        assert [(r.name, r.levelno) for r in caplog.records] == [
+            ("fibrekit.criteria", logging.DEBUG)
+        ] * 4
+        assert [r.getMessage() for r in caplog.records] == [
+            "fits certified by J: r = 2, N = 4, table through n = 6, n_max = N + d",
+            "fits certified by J: r = 2, N = 4, table through n = 11, n_max pinned",
+            "fits certified by the pure powers of I_1 standing in for J: "
+            "r = 2, N = 4, table through n = 6, n_max = N + d",
+            "fits window-validated, no certified minimal reduction: "
+            "r = None, N = None, table through n = 9, n_max = r + 2d + 5",
+        ]
 
 
 class TestMinimalMultiplicity:

@@ -820,7 +820,9 @@ class TestLedgerLogging:
         assert caplog.records == []
         caplog.set_level(logging.DEBUG, logger="fibrekit")
         assert render_tree(analyze(make_x3_spec())) == quiet
-        assert {r.name for r in caplog.records} == {"fibrekit.filtration", "fibrekit.reductions"}
+        assert {r.name for r in caplog.records} == {
+            "fibrekit.criteria", "fibrekit.filtration", "fibrekit.reductions"
+        }
         assert caplog.records
 
 
