@@ -295,12 +295,11 @@ def fundamental_lemma_rows(
     spec: FiltrationSpec,
     table: HilbertTable,
     e0: int,
-    n_start: int = 2,
     n_stop: int | None = None,
     *,
     g: CoefficientSet | None = None,
 ) -> tuple:
-    """Check, for each n in range, the dimension-2 identity
+    """Check, for each n in 2..n_stop, the dimension-2 identity
 
         e_0 - D2[H_K](n) = len(K I_n / K J I_{n-1})
                            - len((K I_{n-1} : J) / K I_{n-2}).
@@ -315,8 +314,6 @@ def fundamental_lemma_rows(
     spec.require_minimal_j()
     if n_stop is None:
         n_stop = table.n_max
-    if n_start < 2:
-        raise InternalInconsistencyError("the identity starts at n = 2")
     hk = table.hk
     if n_stop > table.n_max:
         if g is None or g.certified_from is None:
@@ -325,7 +322,7 @@ def fundamental_lemma_rows(
             )
         hk += tuple(g.value(n) for n in range(table.n_max + 1, n_stop + 1))
     rows = []
-    for n in range(n_start, n_stop + 1):
+    for n in range(2, n_stop + 1):
         lhs = e0 - (hk[n] - 2 * hk[n - 1] + hk[n - 2])
         rhs = spec.length("K upper", n) - spec.length("colon", n)
         if lhs != rhs:
@@ -373,7 +370,9 @@ def fiber_hilbert_series(table: HilbertTable, dim: int, fit: CoefficientSet) -> 
     top = fit.postulation + dim. The termination check reads h_j for
     top < j <= top + dim + 2, so H_F is extended past the table with the
     fit's values only through n = top + dim + 2, and not at all when the
-    table reaches that far.
+    table reaches that far. Those values are trusted only once the fit is
+    checked against the table on fit.postulation..n_max, a run of at least
+    dim points, which pins the degree dim-1 polynomial down.
     """
     top = fit.postulation + dim
     stop = top + dim + 3
@@ -386,6 +385,16 @@ def fiber_hilbert_series(table: HilbertTable, dim: int, fit: CoefficientSet) -> 
         raise InternalInconsistencyError(
             f"fiber series numerator does not terminate: h_{j} = {coeffs[j]}"
         )
+    run = range(fit.postulation, table.n_max + 1)
+    if len(run) < dim:
+        raise InternalInconsistencyError(
+            f"the F fit is checked on {len(run)} table points, fewer than dim = {dim}"
+        )
+    for n in run:
+        if fit.value(n) != table.hf[n]:
+            raise InternalInconsistencyError(
+                f"the F fit misses the table at n = {n}: {fit.value(n)} != {table.hf[n]}"
+            )
     del coeffs[top + 1:]
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()

@@ -219,7 +219,7 @@ def check_minimal_multiplicity(
     """
     ki = spec.kterm(1)
     kj = spec.kjterm(0)
-    lrk = spec.length("K colength", 0)
+    lrk = spec.K.colength()
     g1 = coefficients.g1
     mu_i = len(spec.I.minimal_generators())
     flags = MinimalMultiplicityFlags(

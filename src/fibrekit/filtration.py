@@ -40,7 +40,6 @@ identities and the depth classifier compare, computed once per degree and
 memoized by (entry, n), with each entry's certified sum over n >= 1
 (length_sum) memoized by (entry, r). The entries at degree n:
 
-* "K colength": len(R / K I_n); at n = 0 it is len(R/K);
 * "K lower":    len((K I_n + J) / J);
 * "K upper":    len(K I_n / K J I_{n-1});
 * "K cm":       len((K I_n + J I_{n-1}) / J I_{n-1});
@@ -48,10 +47,11 @@ memoized by (entry, n), with each entry's certified sum over n >= 1
 * "G depth":    len(I_n / J I_{n-1});
 * "colon":      len((K I_{n-1} : J) / K I_{n-2}).
 
-At n >= 1 the entries "K lower", "K upper", "K cm" and "G cm" first read
-"G depth" at n, which is always computed, and are recorded as 0 without
-building their ideals when it is 0: then I_n = J I_{n-1}, and each of the
-four quotients is zero for every n, K and filtration (proof in length_sum).
+Each entry is its own quotient length, except where one of two identities
+gives it from a length the spec already holds. Past r, where the summed
+entries vanish (length_sum), the J-step makes the two ideals of "G depth"
+and of "K upper" one object, so quotient_length returns 0 after its
+equality test.
 
 When K = I_1^s the K entries at n >= 1 are G entries at n + s, and read
 them (_K_TWINS) instead of computing their own quotients:
@@ -61,9 +61,7 @@ them (_K_TWINS) instead of computing their own quotients:
 * s = 1: "K upper"(n) is "G depth"(n + 1) and "K lower"(n) is
   "G cm"(n + 1) (with K I_n = I_(n+1) and K J I_(n-1) = J I_n).
 
-"K cm" with s = 1 and "colon" keep their own quotients. Under
-ideals.CROSS_CHECK each implied 0 and each twin is also computed as its
-own quotient.
+"K cm" with s = 1 and "colon" keep their own quotients.
 
 In dimension 1 with a principal J = (f) (table_route), "G depth" and "K
 upper" are read off colengths the table already holds:
@@ -74,14 +72,13 @@ upper" are read off colengths the table already holds:
 The ring is a domain, so f is a nonzerodivisor and len(R/fE) = len(R/f) +
 len(R/E) for every nonzero ideal E (R/fE contains fR/fE, isomorphic to
 R/E); with E = I_(n-1) and E = K I_(n-1) this is len(R/J I_(n-1)) and
-len(R/K J I_(n-1)). So no K J I_(n-1) is built in d = 1 past n = 0. This is
-the d = 1 route, not a second one: only under ideals.CROSS_CHECK is the
-ideal pair also built and compared, and a mismatch or a negative value
-raises InternalInconsistencyError.
+len(R/K J I_(n-1)). So no K J I_(n-1) is built in d = 1 past n = 0.
 
-Only the integers are memoized; the ideals come from the term caches.
-build_table records each H_K(n) it computes as "K colength" at n, so
-len(R/K) is the table's own H_K(0) and is not computed again.
+Under ideals.CROSS_CHECK each twin and each table value is also computed
+as its own quotient, and a mismatch or a negative value raises
+InternalInconsistencyError. Only the integers are memoized; the ideals come
+from the term caches. len(R/K) is not an entry: it is K.colength(), which
+the ideal caches.
 """
 
 from __future__ import annotations
@@ -102,7 +99,6 @@ from .ideals import INFINITE, quotient_length
 
 # ledger entry -> the pair (big, small) whose quotient length it holds at n
 _LEDGER = {
-    "K colength": lambda s, n: (s.term(0), s.kterm(n)),
     "K lower": lambda s, n: (s.kterm(n) + s.require_j(), s.J),
     "K upper": lambda s, n: (s.kterm(n), s.kjterm(n - 1)),
     "K cm": lambda s, n: (s.kterm(n) + s.jterm(n - 1), s.jterm(n - 1)),
@@ -127,10 +123,8 @@ _K_TWINS = {
     (1, "K lower"): "G cm",
 }
 
-# entries that are 0 at any n >= 1 where "G depth" is 0 (see length_sum)
-_IMPLIED_BY_G_DEPTH = frozenset(("K lower", "K upper", "K cm", "G cm"))
-# entries whose sum over n >= 1 stops at the reduction number
-_SUMMABLE = _IMPLIED_BY_G_DEPTH | {"G depth"}
+# entries whose sum over n >= 1 stops at the reduction number (see length_sum)
+_SUMMABLE = frozenset(("K lower", "K upper", "K cm", "G cm", "G depth"))
 
 _log = logging.getLogger(__name__)
 
@@ -334,12 +328,10 @@ class FiltrationSpec:
         return got
 
     def _entry(self, name: str, n: int) -> int:
-        """The entry `name` at n by the first route that applies: implied 0,
-        G twin, Hilbert table, else its own quotient; the first three are
-        compared with the quotient under ideals.CROSS_CHECK."""
-        if n >= 1 and name in _IMPLIED_BY_G_DEPTH and self.length("G depth", n) == 0:
-            got, route = 0, "although I_n = J I_(n-1)"
-        elif n >= 1 and (twin := _K_TWINS.get((self._k_shift, name))):
+        """The entry `name` at n: its G twin when K = I_1^s, in d = 1 the
+        Hilbert table, else its own quotient; the first two are compared with
+        the quotient under ideals.CROSS_CHECK."""
+        if n >= 1 and (twin := _K_TWINS.get((self._k_shift, name))):
             got, route = self.length(twin, n + self._k_shift), "as its G twin at n + s"
         elif name in _TABLE and self.table_route:
             before, here = _TABLE[name](self, n)
@@ -404,7 +396,7 @@ class FiltrationSpec:
 
     def g1_sum(self, name: str, reduction_number: int) -> int:
         """length_sum(name) - len(R/K), the shape of every g_1 length formula."""
-        return self.length_sum(name, reduction_number) - self.length("K colength", 0)
+        return self.length_sum(name, reduction_number) - self.K.colength()
 
     def __repr__(self):
         return (
@@ -419,10 +411,6 @@ class HilbertTable(NamedTuple):
     h: tuple
     hk: tuple
     hf: tuple
-
-    def delta2_hk(self, n: int) -> int:
-        """Second difference of H_K at n (needs n >= 2)."""
-        return self.hk[n] - 2 * self.hk[n - 1] + self.hk[n - 2]
 
 
 def build_table(spec: FiltrationSpec, n_max: int) -> HilbertTable:
@@ -450,6 +438,5 @@ def build_table(spec: FiltrationSpec, n_max: int) -> HilbertTable:
             raise InternalInconsistencyError(f"K*I_{n} not inside I_{n}")
         h.append(ln)
         hk.append(lkn)
-        spec._lengths[("K colength", n)] = lkn
         hf.append(lkn - ln)
     return HilbertTable(n_max=n_max, h=tuple(h), hk=tuple(hk), hf=tuple(hf))

@@ -8,6 +8,7 @@ import pytest
 import fibrekit.analysis
 from fibrekit import (
     Basis,
+    CoefficientSet,
     CriterionStatus,
     FiltrationSpec,
     HilbertSeries,
@@ -270,8 +271,9 @@ class TestFundamentalLemmaRows:
         spec = make_x3_spec()
         table = build_table(spec, 8)
         report = coefficient_report(table, 2)
-        rows = fundamental_lemma_rows(spec, table, report.e0, n_start=3, n_stop=5)
-        assert [row.n for row in rows] == [3, 4, 5]
+        rows = fundamental_lemma_rows(spec, table, report.e0, n_stop=5)
+        assert rows == fundamental_lemma_rows(spec, table, report.e0)[:4]
+        assert [row.n for row in rows[1:]] == [3, 4, 5]
 
     def test_rows_past_the_table_read_the_certified_polynomial(self):
         spec = make_x3_spec()
@@ -283,13 +285,6 @@ class TestFundamentalLemmaRows:
         longer = build_table(spec, 10)
         assert rows == fundamental_lemma_rows(spec, longer, 9)
         assert [row.n for row in rows] == list(range(2, 11))
-
-    def test_start_below_two_is_rejected(self):
-        spec = make_x3_spec()
-        table = build_table(spec, 8)
-        report = coefficient_report(table, 2)
-        with pytest.raises(InternalInconsistencyError):
-            fundamental_lemma_rows(spec, table, report.e0, n_start=1)
 
     def test_dimension_guard(self):
         spec = make_sg_spec()
@@ -380,6 +375,29 @@ class TestHilbertSeries:
                         wrong = fit._replace(coefficients=tuple(c))
                         with pytest.raises(InternalInconsistencyError, match="does not terminate"):
                             fiber_hilbert_series(table, d, wrong)
+
+    def test_fit_is_checked_against_the_table(self):
+        # d = 1, table through n = 1 = top - 1: h_top comes off the fit's
+        # value at n = 2 alone, so a fit off by one at n = 1 must be caught
+        table = HilbertTable(n_max=1, h=(0, 1), hk=(1, 4), hf=(1, 3))
+        fit = CoefficientSet(
+            label="F", dim=1, basis=Basis.FIBER, coefficients=(4,),
+            postulation=1, n_max=1, window=None, certified_from=1,
+        )
+        with pytest.raises(InternalInconsistencyError, match="misses the table at n = 1"):
+            fiber_hilbert_series(table, 1, fit)
+        right = fit._replace(coefficients=(3,))
+        assert fiber_hilbert_series(table, 1, right).numerator == (1, 2)
+        # d = 2, H_F = 3n from n = 1: a fit claimed from n = n_max is
+        # checked on one point, too few to pin a line down
+        table = HilbertTable(n_max=3, h=(), hk=(), hf=(1, 3, 6, 9))
+        fit = CoefficientSet(
+            label="F", dim=2, basis=Basis.FIBER, coefficients=(3, 0),
+            postulation=3, n_max=3, window=None, certified_from=3,
+        )
+        with pytest.raises(InternalInconsistencyError, match="fewer than dim = 2"):
+            fiber_hilbert_series(table, 2, fit)
+        assert fiber_hilbert_series(table, 2, fit._replace(postulation=1)).numerator == (1, 1, 1)
 
     def test_whole_ring_companion_gives_zero_series(self):
         spec = make_x3_spec(k=make_x3_spec().ring.unit_ideal())

@@ -494,7 +494,7 @@ def fiber_colengths(spec, r) -> list:
     """len(F_n / J F_(n-1)) for n = 0..r, F the fiber cone: len(R/K), then
     len(I_n / (J I_(n-1) + K I_n)) = "G depth" - "K cm". Past the reduction
     number r both entries are 0, so the sum is len(F/JF)."""
-    return [spec.length("K colength", 0)] + [
+    return [spec.K.colength()] + [
         spec.length("G depth", n) - spec.length("K cm", n) for n in range(1, r + 1)
     ]
 
@@ -603,8 +603,9 @@ class TestCorpusSoundness:
             report = inst.report_m
             table = report.table
             start = max(2, report.coefficients.g.postulation + 2)
+            hk = table.hk
             for n in range(start, table.n_max + 1):
-                assert table.delta2_hk(n) == report.e0, (inst.gens, n)
+                assert hk[n] - 2 * hk[n - 1] + hk[n - 2] == report.e0, (inst.gens, n)
 
     def test_whole_ring_reports_track_the_plain_function(self, corpus):
         for inst in corpus.instances:

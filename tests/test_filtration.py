@@ -183,12 +183,21 @@ class TestTerms:
             spec.jterm(1)
 
 
+def zero_below_r_spec():
+    """I_1 = J = (x^2, y^2), I_2 = I_1^2 and I_3 = I_1^3 + (x^3 y^3):
+    I_2 = J I_1 holds but I_3 = J I_2 fails, so the reduction number is 3
+    and "G depth" is 0 at n = 2, below it."""
+    ring = plane()
+    i = ring.ideal([(2, 0), (0, 2)])
+    terms = (i, i * i, i * i * i + ring.ideal([(3, 3)]))
+    return FiltrationSpec(i, J=i, truncated_terms=terms)
+
+
 def direct_entry(spec, name, n):
     """The ledger entry `name` at degree n, written out from its definition."""
     k, j = spec.K, spec.J
     i = spec.term
     quotients = {
-        "K colength": lambda: (spec.ring.unit_ideal(), k * i(n)),
         "K lower": lambda: (k * i(n) + j, j),
         "K upper": lambda: (k * i(n), k * j * i(n - 1)),
         "K cm": lambda: (k * i(n) + j * i(n - 1), j * i(n - 1)),
@@ -224,7 +233,7 @@ def count_ledger(monkeypatch):
 
 
 class TestLengthLedger:
-    ENTRIES = ("K colength", "K lower", "K upper", "K cm", "G cm", "G depth", "colon")
+    ENTRIES = ("K lower", "K upper", "K cm", "G cm", "G depth", "colon")
 
     @pytest.mark.parametrize("make", [make_x3_spec, make_x4_spec, make_sg_spec])
     def test_entries_match_their_definitions(self, make):
@@ -235,16 +244,7 @@ class TestLengthLedger:
 
     def test_k_colength_at_zero_is_len_r_mod_k(self):
         spec = make_sg_spec()
-        assert spec.length("K colength", 0) == quotient_length(
-            spec.ring.unit_ideal(), spec.K
-        )
-
-    def test_build_table_records_h_k(self, monkeypatch):
-        spec = make_x3_spec()
-        table = build_table(spec, 4)
-        computed, calls = count_ledger(monkeypatch)
-        assert [spec.length("K colength", n) for n in range(5)] == list(table.hk)
-        assert computed == [] and calls == []
+        assert spec.K.colength() == quotient_length(spec.ring.unit_ideal(), spec.K)
 
     def test_each_entry_is_computed_once(self, monkeypatch):
         spec = make_x3_spec()
@@ -260,16 +260,10 @@ class TestLengthLedger:
         computed, _ = count_ledger(monkeypatch)
         assert spec.length_sum("K upper", 2) == want
         assert spec.length_sum("K upper", 2) == want
-        # "G depth" is read first at each n <= r, then at r + 1 alone: the
+        # the entry at each n <= r, then "G depth" at r + 1 alone: the
         # degree past the one explicit term where reduction_number stops
-        assert computed == [
-            ("G depth", 1),
-            ("K upper", 1),
-            ("G depth", 2),
-            ("K upper", 2),
-            ("G depth", 3),
-        ]
-        assert spec.g1_sum("K upper", 2) == want - spec.length("K colength", 0)
+        assert computed == [("K upper", 1), ("K upper", 2), ("G depth", 3)]
+        assert spec.g1_sum("K upper", 2) == want - spec.K.colength()
 
     def test_length_sum_keeps_the_tail_check(self):
         # r = 2 is the true reduction number; claiming r = 1 leaves a
@@ -280,13 +274,8 @@ class TestLengthLedger:
             spec.length_sum("G depth", 1)
 
     def test_length_sum_checks_every_explicit_degree(self):
-        # I_1 = J = (x^2, y^2), I_2 = I_1^2 and I_3 = I_1^3 + (x^3 y^3):
-        # I_2 = J I_1 holds but I_3 = J I_2 fails, so the reduction number
-        # is 3; a claimed r = 1 must be refused at n = 3, not only at r + 1
-        ring = plane()
-        i = ring.ideal([(2, 0), (0, 2)])
-        terms = (i, i * i, i * i * i + ring.ideal([(3, 3)]))
-        spec = FiltrationSpec(i, J=i, truncated_terms=terms)
+        # a claimed r = 1 must be refused at n = 3, not only at r + 1
+        spec = zero_below_r_spec()
         assert reduction_number(spec).r == 3
         assert spec.length("G depth", 2) == 0
         assert spec.length("G depth", 3) != 0
@@ -340,7 +329,12 @@ IMPLIED = ("K lower", "K upper", "K cm", "G cm")
 
 
 def corpus_specs(kind, corpus):
-    """(spec, r) for every input of one test corpus, each spec analyzed."""
+    """(spec, r) for every input of one test corpus, each spec analyzed
+    (the truncated one through its reduction search only)."""
+    if kind == "truncated":
+        spec = zero_below_r_spec()
+        yield spec, reduction_number(spec).r
+        return
     if kind == "plane":
         for inst in corpus.instances:
             yield inst.spec_m, inst.report_m.reduction.r
@@ -356,9 +350,11 @@ def corpus_specs(kind, corpus):
 
 
 class TestImpliedEntries:
-    """The four entries a zero "G depth" implies are 0 (filtration.py)."""
+    """The four entries that vanish wherever "G depth" does (the proof in
+    FiltrationSpec.length_sum) are their own quotients there, and the
+    cross-check catches one that is not 0 past r."""
 
-    @pytest.mark.parametrize("kind", ["plane", "space", "semigroup"])
+    @pytest.mark.parametrize("kind", ["plane", "space", "semigroup", "truncated"])
     def test_implied_entries_match_their_definitions(self, request, kind):
         corpus = request.getfixturevalue("corpus") if kind == "plane" else None
         implied = 0
@@ -368,18 +364,9 @@ class TestImpliedEntries:
                 for name in ("G depth",) + IMPLIED:
                     want = direct_entry(spec, name, n)
                     assert spec.length(name, n) == want, (spec, name, n)
-        # every corpus reaches the rule: each range runs past r
+        # every corpus reaches a zero "G depth": each range runs past r, and
+        # the truncated spec has one at n = 2 < r = 3
         assert implied > 0
-
-    @pytest.mark.parametrize("make", [make_x3_spec, make_sg_spec])
-    def test_analysis_builds_no_implied_pair(self, monkeypatch, make):
-        spec = make()
-        computed, _ = count_ledger(monkeypatch)
-        r = analyze(spec).reduction.r
-        # "G depth" is in the ledger at n = 1..r+1, in d = 1 off the table
-        zero = {n for n in range(1, r + 2) if spec.length("G depth", n) == 0}
-        assert zero
-        assert not [(name, n) for name, n in computed if name in IMPLIED and n in zero]
 
     def test_cross_check_builds_every_implied_pair(self, monkeypatch):
         spec = make_x3_spec()
@@ -393,17 +380,16 @@ class TestImpliedEntries:
 
     @pytest.mark.parametrize("name", IMPLIED)
     def test_cross_check_catches_a_nonzero_implied_entry(self, monkeypatch, name):
-        # a wrong pair whose quotient is len(R/K I_n) > 0
+        # a wrong pair whose quotient is len(R/K I_n) > 0; r = 2, and the
+        # sum's cross-check reads the entry at n = 3..6
         monkeypatch.setitem(
             fibrekit.filtration._LEDGER, name, lambda s, n: (s.term(0), s.kterm(n))
         )
         spec = make_x3_spec()
         assert spec.length("G depth", 3) == 0
         with colength_cross_check():
-            with pytest.raises(InternalInconsistencyError):
-                spec.length(name, 3)
-        # production records the implied 0 without building the pair
-        assert make_x3_spec().length(name, 3) == 0
+            with pytest.raises(InternalInconsistencyError, match="n = 3 is nonzero although n > r = 2"):
+                spec.length_sum(name, 2)
 
 
 def semigroup_m_spec(a, b):
@@ -836,8 +822,8 @@ class TestBuildTable:
         assert table.hf == (1, 3, 6, 9, 12, 15, 18, 21, 24)
 
     def test_second_differences_stabilize_at_multiplicity(self):
-        table = build_table(make_x3_spec(), 8)
-        assert [table.delta2_hk(n) for n in range(2, 9)] == [9] * 7
+        hk = build_table(make_x3_spec(), 8).hk
+        assert [hk[n] - 2 * hk[n - 1] + hk[n - 2] for n in range(2, 9)] == [9] * 7
 
     def test_whole_ring_companion_gives_zero_fiber_function(self):
         ring = plane()
